@@ -5,7 +5,9 @@
 # Usage: scripts/check.sh [build-dir]
 #   Default mode runs two legs:
 #     1. RelWithDebInfo with -DTAURUS_WERROR=ON (warnings are errors), the
-#        configuration the plan verifiers gate behind the verify_plans knob.
+#        configuration the plan verifiers gate behind the verify_plans knob;
+#        after ctest it runs a 3-second perfbench smoke of each benchmark
+#        workload, which must report "correct": true.
 #     2. Debug in build-debug, where the plan verifiers are always on
 #        (kVerifyPlansDefault), assertions are live, and the lock-rank
 #        registry is armed (kLockRankChecksDefault): every mutex
@@ -114,6 +116,26 @@ echo "check.sh: leg 1/2 — RelWithDebInfo, warnings as errors"
 cmake -B "$build_dir" -S "$repo_root" -DTAURUS_WERROR=ON
 cmake --build "$build_dir" -j "$(nproc)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
+
+# Benchmark smoke: a 3-second run of each BENCHMARK.json workload. The run
+# checks every result against perfbench/checksums, so a plan change that
+# alters a result fails here; the JSON line must read "correct": true.
+# perfbench builds its own RelWithDebInfo tree ($CARGO_TARGET_DIR/perfbench,
+# default .bench_build/perfbench).
+echo "check.sh: benchmark smoke (perfbench, 3 s per workload)"
+if command -v python3 >/dev/null 2>&1; then
+  for workload in tpch_power tpcds_adhoc sessions_hitpath; do
+    if ! result=$(cd "$repo_root" && python3 perfbench/run.py \
+        --workload "$workload" --seed 20220329 --seconds 3 --trace 0 \
+        | tail -n 1) || ! grep -q '"correct": true' <<<"$result"; then
+      echo "check.sh: FAIL — perfbench $workload: ${result:-no result}" >&2
+      exit 1
+    fi
+    echo "check.sh: perfbench $workload correct"
+  done
+else
+  echo "check.sh: python3 not found; skipping the benchmark smoke." >&2
+fi
 
 # Observability smoke: dump the metrics registry, one EXPLAIN ANALYZE, the
 # statement-digest table and the flight recorder as JSON and validate each

@@ -33,6 +33,7 @@ REQUIRED_METRICS = [
     "taurus.verify.violations",
     "taurus.query.count",
     "taurus.query.errors",
+    "taurus.refine.access_downgrades",
     "taurus.query.optimize_ms",
     "taurus.query.execute_ms",
     "taurus.exec.parallel_queries",

@@ -276,6 +276,8 @@ void Database::BindCounters() {
       metrics_.GetCounter("taurus.verify.violations");
   counters_.queries = metrics_.GetCounter("taurus.query.count");
   counters_.query_errors = metrics_.GetCounter("taurus.query.errors");
+  counters_.access_downgrades =
+      metrics_.GetCounter("taurus.refine.access_downgrades");
   counters_.parallel_queries =
       metrics_.GetCounter("taurus.exec.parallel_queries");
   counters_.parallel_pipelines =
@@ -503,10 +505,8 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileFromCacheEntry(
       return report.ToStatus("verify.thaw");
     }
   }
-  ScopedSpan refine_span(tracer, "refine");
   TAURUS_ASSIGN_OR_RETURN(auto compiled,
-                          RefinePlan(std::move(stmt), *skeleton, catalog_));
-  refine_span.End();
+                          Refine(std::move(stmt), *skeleton, tracer));
   compiled->used_orca = entry.used_orca;
   if (verify_config_.verify_plans) {
     ScopedSpan verify_span(tracer, "verify.block");
@@ -517,6 +517,15 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileFromCacheEntry(
   }
   compiled->verifier_rules = report.rules_checked;
   compiled->verifier_violations = report.violations();
+  return compiled;
+}
+
+Result<std::unique_ptr<CompiledQuery>> Database::Refine(
+    BoundStatement stmt, const BlockSkeleton& skeleton, Tracer* tracer) {
+  ScopedSpan refine_span(tracer, "refine");
+  TAURUS_ASSIGN_OR_RETURN(auto compiled,
+                          RefinePlan(std::move(stmt), skeleton, catalog_));
+  counters_.access_downgrades->Increment(compiled->access_downgrades);
   return compiled;
 }
 
@@ -670,9 +679,7 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
           cacheable = true;
         }
       }
-      ScopedSpan refine_span(tracer, "refine");
-      auto refined = RefinePlan(std::move(stmt), *skeleton, catalog_);
-      refine_span.End();
+      auto refined = Refine(std::move(stmt), *skeleton, tracer);
       if (refined.ok()) {
         auto compiled = std::move(*refined);
         compiled->used_orca = true;
@@ -765,10 +772,8 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
     }
   }
 
-  ScopedSpan refine_span(tracer, "refine");
   TAURUS_ASSIGN_OR_RETURN(auto compiled,
-                          RefinePlan(std::move(stmt), *skeleton, catalog_));
-  refine_span.End();
+                          Refine(std::move(stmt), *skeleton, tracer));
   if (verify_config_.verify_plans) {
     ScopedSpan verify_span(tracer, "verify.block");
     VerifyBlockPlan(*compiled, &mysql_report);

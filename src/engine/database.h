@@ -387,6 +387,12 @@ class Database {
       const std::string& sql, OptimizerPath path, bool use_cache,
       Tracer* tracer);
 
+  /// Plan refinement (under a "refine" span) that counts the index
+  /// accesses it had to downgrade in taurus.refine.access_downgrades.
+  Result<std::unique_ptr<CompiledQuery>> Refine(BoundStatement stmt,
+                                                const BlockSkeleton& skeleton,
+                                                Tracer* tracer);
+
   /// Replays the route's deterministic AST rewrites onto a freshly bound
   /// statement, thaws the cached skeleton and refines it.
   Result<std::unique_ptr<CompiledQuery>> CompileFromCacheEntry(
@@ -497,6 +503,7 @@ class Database {
     Counter* verifier_violations = nullptr;
     Counter* queries = nullptr;
     Counter* query_errors = nullptr;
+    Counter* access_downgrades = nullptr;
     Counter* parallel_queries = nullptr;
     Counter* parallel_pipelines = nullptr;
     Counter* batch_pipelines = nullptr;

@@ -44,6 +44,36 @@ std::string CondsToString(const std::vector<const Expr*>& conds) {
   return out;
 }
 
+/// The bound predicate of an index range scan on its index's first key
+/// column: " (o_orderkey = 7)", " (1994-01-01 <= l_shipdate < 1995-01-01)",
+/// or " (l_shipdate >= 1994-01-01)" for a one-sided range.
+std::string RangeBounds(const PhysOp& op) {
+  if (op.index_id < 0 || (op.range_lo == nullptr && op.range_hi == nullptr)) {
+    return "";
+  }
+  const IndexDef& def =
+      op.leaf->table->indexes[static_cast<size_t>(op.index_id)];
+  const std::string& col =
+      op.leaf->table->columns[static_cast<size_t>(def.column_idx[0])].name;
+  if (op.range_lo == op.range_hi && op.lo_inclusive && op.hi_inclusive) {
+    return " (" + col + " = " + op.range_lo->ToString() + ")";
+  }
+  std::string out = " (";
+  if (op.range_lo != nullptr) {
+    out += op.range_hi != nullptr
+               ? op.range_lo->ToString() + (op.lo_inclusive ? " <= " : " < ") +
+                     col
+               : col + (op.lo_inclusive ? " >= " : " > ") +
+                     op.range_lo->ToString();
+  } else {
+    out += col;
+  }
+  if (op.range_hi != nullptr) {
+    out += (op.hi_inclusive ? " <= " : " < ") + op.range_hi->ToString();
+  }
+  return out + ")";
+}
+
 class ExplainRenderer {
  public:
   explicit ExplainRenderer(const CompiledQuery& query,
@@ -286,8 +316,8 @@ class ExplainRenderer {
                 ? op.leaf->table->indexes[static_cast<size_t>(op.index_id)]
                       .name
                 : "?";
-        std::string text =
-            "Index range scan on " + op.leaf->alias + " using " + idx;
+        std::string text = "Index range scan on " + op.leaf->alias +
+                           " using " + idx + RangeBounds(op);
         if (!op.filters.empty()) {
           text += ", with filter: " + CondsToString(op.filters);
         }

@@ -759,6 +759,12 @@ struct Group {
   Row key;
   Row agg_values;
   OwnedFrame rep;  ///< representative input frame
+  /// Set instead of `rep` by a morsel partial (GroupByState::InitPartial).
+  Frame borrowed_rep;
+
+  Frame RepView() const {
+    return borrowed_rep.empty() ? rep.View() : borrowed_rep;
+  }
 };
 
 int CompareRows(const Row& a, const Row& b,
@@ -783,6 +789,17 @@ class GroupByState {
  public:
   void Init(const BlockPlan* plan) { plan_ = plan; }
 
+  /// A morsel partial borrows its representative frames instead of
+  /// deep-copying them. The rows they point at — table rows, the outer
+  /// binding, and hash build sides held in ParallelOut::shared — outlive
+  /// the block's aggregation, and most partial groups fold into an earlier
+  /// morsel's group at merge, so a copy per partial group would only churn
+  /// worker memory.
+  void InitPartial(const BlockPlan* plan) {
+    plan_ = plan;
+    borrow_reps_ = true;
+  }
+
   Status Consume(const Frame& f, ExecContext* ctx) {
     Row key;
     key.reserve(plan_->group_exprs.size());
@@ -797,7 +814,11 @@ class GroupByState {
       index_[h].push_back(idx);
       Group g;
       g.key = std::move(key);
-      g.rep = OwnedFrame(f);
+      if (borrow_reps_) {
+        g.borrowed_rep = f;
+      } else {
+        g.rep = OwnedFrame(f);
+      }
       groups_.push_back(std::move(g));
       accums_.emplace_back(plan_->agg_exprs.size());
     }
@@ -846,7 +867,11 @@ class GroupByState {
         grp.key = std::move(key);
         if (scratch.empty()) scratch = *b.base;
         b.FillFrame(b.sel[i], &scratch);
-        grp.rep = OwnedFrame(scratch);
+        if (borrow_reps_) {
+          grp.borrowed_rep = scratch;
+        } else {
+          grp.rep = OwnedFrame(scratch);
+        }
         groups_.push_back(std::move(grp));
         accums_.emplace_back(na);
       }
@@ -913,6 +938,7 @@ class GroupByState {
   }
 
   const BlockPlan* plan_ = nullptr;
+  bool borrow_reps_ = false;
   std::vector<Group> groups_;
   std::unordered_map<uint64_t, std::vector<size_t>> index_;
   std::vector<std::vector<Accum>> accums_;
@@ -937,7 +963,7 @@ Status FinishAgg(const BlockPlan& plan, std::vector<Group> groups,
   };
   std::vector<OutUnit> units;
   for (Group& g : groups) {
-    Frame rep_view = g.rep.View();
+    Frame rep_view = g.RepView();
     AggContext agg_ctx;
     agg_ctx.agg_exprs = &plan.agg_exprs;
     agg_ctx.agg_values = &g.agg_values;
@@ -1100,6 +1126,8 @@ std::unique_ptr<FrameIter> BuildWorkerChain(const PhysOp* op,
 /// Per-morsel stage-A results, merged on the main thread in morsel order.
 struct ParallelOut {
   bool engaged = false;
+  /// Prebuilt hash build sides; merged groups borrow rows from them.
+  PipelineShared shared;
   GroupByState agg;
   std::vector<SortUnit> sort_units;
   std::vector<Row> rows;
@@ -1222,7 +1250,7 @@ Result<bool> TryParallelPipeline(const BlockPlan& plan, const Frame& outer,
 
   // Build sides run once, serially, with the root context (they may hold
   // derived tables, subqueries, anything — the workers never re-enter them).
-  PipelineShared shared;
+  PipelineShared& shared = out->shared;
   {
     Frame build_frame = outer;
     TAURUS_RETURN_IF_ERROR(
@@ -1234,7 +1262,7 @@ Result<bool> TryParallelPipeline(const BlockPlan& plan, const Frame& outer,
   // the merged result is independent of scheduling.
   const size_t nm = static_cast<size_t>(num_morsels);
   std::vector<GroupByState> agg_parts(mode == PipeMode::kAgg ? nm : 0);
-  for (GroupByState& s : agg_parts) s.Init(&plan);
+  for (GroupByState& s : agg_parts) s.InitPartial(&plan);
   std::vector<std::vector<SortUnit>> sort_parts(
       mode == PipeMode::kSort ? nm : 0);
   std::vector<std::vector<Row>> row_parts(mode == PipeMode::kPlain ? nm : 0);
@@ -1336,7 +1364,10 @@ Result<bool> TryParallelPipeline(const BlockPlan& plan, const Frame& outer,
   };
 
   const double pipeline_start = profiled ? profile_clock->NowMs() : 0.0;
-  if (!ctx->pool->TryRun(dop, worker)) return false;  // pool busy: go serial
+  if (!ctx->pool->TryRun(dop, worker)) {  // pool busy: go serial
+    shared = PipelineShared();
+    return false;
+  }
   if (profiled) {
     // Per-worker idle = pipeline wall minus that worker's busy time: queue
     // hand-off plus waiting for the slowest peer after draining the queue.

@@ -181,6 +181,10 @@ struct CompiledQuery {
   /// synthesized equality conjuncts, ...).
   std::vector<std::unique_ptr<Expr>> owned_exprs;
 
+  /// Index accesses the skeleton prescribed that refinement could not bind
+  /// and built as table scans instead (taurus.refine.access_downgrades).
+  int access_downgrades = 0;
+
   /// True when the plan was produced via the Orca detour.
   bool used_orca = false;
   /// Optimization wall-clock time, for the Table 1 experiment.

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "frontend/normalize.h"
+#include "myopt/access_path.h"
 #include "myopt/join_graph.h"
 #include "parser/ast_util.h"
 
@@ -103,32 +104,6 @@ void CollectBlockSubqueries(const QueryBlock& block,
   }
 }
 
-/// Finds the column side of `eq` that belongs to `leaf`, with the other
-/// side's block-local references confined to `avail_mask` units. Returns
-/// the column index or -1.
-int LookupKeyColumn(const Expr& eq, const TableRef& leaf,
-                    const JoinGraph& graph, uint64_t avail_mask,
-                    int num_refs) {
-  if (eq.kind != Expr::Kind::kBinary || eq.bop != BinaryOp::kEq) return -1;
-  for (int side = 0; side < 2; ++side) {
-    const Expr& col = *eq.children[static_cast<size_t>(side)];
-    const Expr& other = *eq.children[static_cast<size_t>(1 - side)];
-    if (col.kind != Expr::Kind::kColumnRef || col.ref_id != leaf.ref_id) {
-      continue;
-    }
-    uint64_t other_mask = graph.UnitMaskOf(other, num_refs);
-    if ((other_mask & ~avail_mask) != 0) continue;
-    // The other side must not also reference this leaf.
-    auto it = graph.unit_of_ref.find(leaf.ref_id);
-    if (it != graph.unit_of_ref.end() &&
-        (other_mask & (1ULL << it->second)) != 0) {
-      continue;
-    }
-    return col.column_idx;
-  }
-  return -1;
-}
-
 }  // namespace
 
 MySqlOptimizer::MySqlOptimizer(const Catalog& catalog, BoundStatement* stmt,
@@ -143,102 +118,25 @@ Result<std::unique_ptr<BlockSkeleton>> MySqlOptimizer::Optimize() {
 }
 
 MySqlOptimizer::Planned MySqlOptimizer::PlanLeaf(
-    TableRef* leaf, const std::vector<Expr*>& local_conds) {
+    TableRef* leaf, const std::vector<Expr*>& local_conds,
+    const std::vector<bool>& outer) {
   Planned out;
   double base_rows = stats_.LeafBaseRows(*leaf);
   double sel = 1.0;
   for (const Expr* c : local_conds) sel *= stats_.ConjunctSelectivity(*c);
   sel = std::clamp(sel, 0.0, 1.0);
 
+  // Cost-based choice among the accesses refine can build: a scan, a range
+  // over constant bounds, or a correlated "ref" lookup (the inner blocks
+  // of TPC-H Q17/Q20), whose key is available at Open time.
+  LeafAccess access =
+      ChooseLeafAccess(*leaf, local_conds, outer, base_rows, stats_, params_);
   auto node = std::make_unique<SkeletonNode>();
   node->is_join = false;
   node->leaf = leaf;
-  node->access = AccessMethod::kTableScan;
-  out.cost = base_rows * params_.seq_row;
-
-  // Cost-based range access: a local `col <op> const` conjunct whose column
-  // is the first key column of some index.
-  if (leaf->kind == TableRef::Kind::kBase && leaf->table != nullptr) {
-    for (const Expr* c : local_conds) {
-      if (c->kind != Expr::Kind::kBinary && c->kind != Expr::Kind::kBetween) {
-        continue;
-      }
-      const Expr* col = nullptr;
-      if (c->kind == Expr::Kind::kBetween) {
-        col = c->children[0].get();
-        if (c->negated) continue;
-      } else {
-        if (!IsComparisonOp(c->bop) || c->bop == BinaryOp::kNe) continue;
-        if (c->children[0]->kind == Expr::Kind::kColumnRef &&
-            c->children[0]->ref_id == leaf->ref_id) {
-          col = c->children[0].get();
-        } else if (c->children[1]->kind == Expr::Kind::kColumnRef &&
-                   c->children[1]->ref_id == leaf->ref_id) {
-          col = c->children[1].get();
-        }
-      }
-      if (col == nullptr || col->kind != Expr::Kind::kColumnRef) continue;
-      for (size_t i = 0; i < leaf->table->indexes.size(); ++i) {
-        if (leaf->table->indexes[i].column_idx.empty() ||
-            leaf->table->indexes[i].column_idx[0] != col->column_idx) {
-          continue;
-        }
-        double range_sel = stats_.ConjunctSelectivity(*c);
-        double range_cost = params_.index_descend +
-                            range_sel * base_rows * params_.index_row;
-        if (range_cost < out.cost) {
-          out.cost = range_cost;
-          node->access = AccessMethod::kIndexRange;
-          node->index_id = static_cast<int>(i);
-        }
-      }
-    }
-  }
-
-  // Correlated "ref" access: an equality binding an index's first key
-  // column to a purely-outer expression (a correlated subquery over a
-  // single table, e.g. TPC-H Q17/Q20's inner blocks). The lookup key is
-  // available at Open time, so this is as good as a join-time ref access.
-  if (leaf->kind == TableRef::Kind::kBase && leaf->table != nullptr) {
-    for (const Expr* c : local_conds) {
-      if (c->kind != Expr::Kind::kBinary || c->bop != BinaryOp::kEq) continue;
-      for (int side = 0; side < 2; ++side) {
-        const Expr& col = *c->children[static_cast<size_t>(side)];
-        const Expr& other = *c->children[static_cast<size_t>(1 - side)];
-        if (col.kind != Expr::Kind::kColumnRef ||
-            col.ref_id != leaf->ref_id) {
-          continue;
-        }
-        // The other side must not touch this leaf (purely outer/constant).
-        std::vector<bool> other_refs(static_cast<size_t>(stmt_->num_refs),
-                                     false);
-        CollectReferencedRefs(other, &other_refs);
-        if (leaf->ref_id >= 0 &&
-            static_cast<size_t>(leaf->ref_id) < other_refs.size() &&
-            other_refs[static_cast<size_t>(leaf->ref_id)]) {
-          continue;
-        }
-        for (size_t i = 0; i < leaf->table->indexes.size(); ++i) {
-          const IndexDef& idx = leaf->table->indexes[i];
-          if (idx.column_idx.empty() ||
-              idx.column_idx[0] != col.column_idx) {
-            continue;
-          }
-          double ndv = stats_.NdvOf(leaf->ref_id, col.column_idx,
-                                    std::max(base_rows, 1.0));
-          double match = std::max(base_rows / std::max(ndv, 1.0), 1.0);
-          double cost =
-              params_.index_descend + match * params_.index_row;
-          if (cost < out.cost) {
-            out.cost = cost;
-            node->access = AccessMethod::kIndexLookup;
-            node->index_id = static_cast<int>(i);
-          }
-        }
-      }
-    }
-  }
-
+  node->access = access.method;
+  node->index_id = access.index_id;
+  out.cost = access.cost;
   out.rows = std::max(base_rows * sel, 1.0);
   node->est_rows = out.rows;
   node->est_cost = out.cost;
@@ -248,7 +146,7 @@ MySqlOptimizer::Planned MySqlOptimizer::PlanLeaf(
 
 Result<MySqlOptimizer::Planned> MySqlOptimizer::PlanJoin(
     QueryBlock* block, TableRef* single_tree,
-    const std::vector<Expr*>* extra_conds) {
+    const std::vector<Expr*>* extra_conds, const std::vector<bool>& outer) {
   JoinGraph graph;
   if (single_tree != nullptr) {
     static const std::vector<Expr*> kNone;
@@ -275,7 +173,7 @@ Result<MySqlOptimizer::Planned> MySqlOptimizer::PlanJoin(
       }
     }
     if (unit.ref->kind != TableRef::Kind::kJoin) {
-      unit_plans[i] = PlanLeaf(unit.ref, local);
+      unit_plans[i] = PlanLeaf(unit.ref, local, outer);
     } else {
       // Composite: plan the subtree, folding in join_conds pieces that
       // reference only this unit.
@@ -285,7 +183,7 @@ Result<MySqlOptimizer::Planned> MySqlOptimizer::PlanJoin(
         if (m == (1ULL << i)) sub_conds.push_back(jc);
       }
       TAURUS_ASSIGN_OR_RETURN(unit_plans[i],
-                              PlanJoin(nullptr, unit.ref, &sub_conds));
+                              PlanJoin(nullptr, unit.ref, &sub_conds, outer));
     }
   }
 
@@ -361,39 +259,21 @@ Result<MySqlOptimizer::Planned> MySqlOptimizer::PlanJoin(
       AccessMethod access = unit_plans[u].node->access;
       int index_id = unit_plans[u].node->index_id;
 
-      int ref_index = -1;
-      if (unit.ref->kind == TableRef::Kind::kBase &&
-          unit.ref->table != nullptr) {
-        // Look for an index whose first key column is bound by an equality
-        // to already-placed tables.
-        for (size_t i = 0; i < unit.ref->table->indexes.size() && ref_index < 0;
-             ++i) {
-          const IndexDef& idx = unit.ref->table->indexes[i];
-          if (idx.column_idx.empty()) continue;
-          for (const Expr* e : connecting) {
-            int col = LookupKeyColumn(*e, *unit.ref, graph, placed,
-                                      stmt_->num_refs);
-            if (col == idx.column_idx[0]) {
-              ref_index = static_cast<int>(i);
-              break;
-            }
-          }
+      // An index whose first key column an equality binds to the prefix
+      // (or outer blocks) gives MySQL's preferred "ref" access.
+      std::vector<bool> bound = outer;
+      for (const auto& [ref, unit_idx] : graph.unit_of_ref) {
+        if (unit_idx >= 0 && (placed & (1ULL << unit_idx)) != 0) {
+          bound[static_cast<size_t>(ref)] = true;
         }
       }
-
-      if (ref_index >= 0) {
-        const Expr* key_col = nullptr;
-        (void)key_col;
-        double base = stats_.LeafBaseRows(*unit.ref);
-        const IndexDef& idx =
-            unit.ref->table->indexes[static_cast<size_t>(ref_index)];
-        double ndv = stats_.NdvOf(unit.ref->ref_id, idx.column_idx[0],
-                                  std::max(base, 1.0));
-        double match = std::max(base / std::max(ndv, 1.0), 1.0);
-        cost = acc.cost +
-               acc.rows * (params_.index_descend + match * params_.index_row);
+      LeafAccess ref = ChooseJoinLookup(*unit.ref, connecting, bound,
+                                        stats_.LeafBaseRows(*unit.ref),
+                                        stats_, params_);
+      if (ref.index_id >= 0) {
+        cost = acc.cost + acc.rows * ref.cost;
         access = AccessMethod::kIndexLookup;
-        index_id = ref_index;
+        index_id = ref.index_id;
         method = JoinMethod::kNestedLoop;
       } else if (has_equality) {
         // MySQL hash join: build side is the accumulated prefix (the
@@ -509,8 +389,9 @@ Result<std::unique_ptr<BlockSkeleton>> MySqlOptimizer::OptimizeBlock(
   double rows = 1.0;
   double cost = 0.0;
   if (!block->from.empty()) {
-    TAURUS_ASSIGN_OR_RETURN(Planned joined,
-                            PlanJoin(block, nullptr, nullptr));
+    TAURUS_ASSIGN_OR_RETURN(
+        Planned joined,
+        PlanJoin(block, nullptr, nullptr, OuterRefs(*block, stmt_->num_refs)));
     rows = joined.rows;
     cost = joined.cost;
     skel->root = std::move(joined.node);

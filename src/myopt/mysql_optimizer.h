@@ -40,12 +40,15 @@ class MySqlOptimizer {
   };
 
   /// Greedily orders the units of a FROM subtree (used both for a block's
-  /// full FROM and for composite dependent units).
+  /// full FROM and for composite dependent units). `outer` marks the refs
+  /// outside the block (see OuterRefs).
   Result<Planned> PlanJoin(QueryBlock* block, TableRef* single_tree,
-                           const std::vector<Expr*>* extra_conds);
+                           const std::vector<Expr*>* extra_conds,
+                           const std::vector<bool>& outer);
 
   /// Plans access to a single leaf given its local conjuncts.
-  Planned PlanLeaf(TableRef* leaf, const std::vector<Expr*>& local_conds);
+  Planned PlanLeaf(TableRef* leaf, const std::vector<Expr*>& local_conds,
+                   const std::vector<bool>& outer);
 
   const Catalog& catalog_;
   BoundStatement* stmt_;

@@ -9,13 +9,14 @@
 #include "exec/batch_executor.h"
 #include "exec/exec_internal.h"
 #include "exec/expr_eval.h"
+#include "myopt/access_path.h"
 #include "parser/ast_util.h"
 
 namespace taurus {
 
 namespace {
 
-using RefSet = std::vector<uint8_t>;
+using RefSet = std::vector<bool>;
 
 bool Subset(const RefSet& a, const RefSet& b) {
   for (size_t i = 0; i < a.size(); ++i) {
@@ -32,7 +33,7 @@ bool Intersects(const RefSet& a, const RefSet& b) {
 }
 
 bool Empty(const RefSet& a) {
-  for (uint8_t v : a) {
+  for (bool v : a) {
     if (v) return false;
   }
   return true;
@@ -40,7 +41,7 @@ bool Empty(const RefSet& a) {
 
 RefSet Union(const RefSet& a, const RefSet& b) {
   RefSet out = a;
-  for (size_t i = 0; i < b.size(); ++i) out[i] |= b[i];
+  for (size_t i = 0; i < b.size(); ++i) out[i] = out[i] || b[i];
   return out;
 }
 
@@ -506,129 +507,61 @@ Result<std::unique_ptr<PhysOp>> Refiner::BuildPhys(
         op->filters.push_back(c);
       }
     } else {
+      // Bind what the optimizer chose, by the rule both optimizers cost
+      // with (myopt/access_path.h); `avail` holds the bound leaves.
       AccessMethod access = node->access;
       op->index_id = node->index_id;
       if (access == AccessMethod::kIndexLookup) {
-        // Bind index key columns, in order, to equalities whose other side
-        // is available (already-placed tables or outer blocks).
+        // Index key columns, in order, each to an equality with a bound key.
         const IndexDef& idx =
             leaf->table->indexes[static_cast<size_t>(node->index_id)];
         for (int key_col : idx.column_idx) {
-          Expr* found = nullptr;
+          const Expr* key = nullptr;
           for (Expr*& c : att.at_node) {
             if (c == nullptr) continue;
-            if (c->kind != Expr::Kind::kBinary || c->bop != BinaryOp::kEq) {
-              continue;
-            }
-            for (int side = 0; side < 2; ++side) {
-              Expr* col = c->children[static_cast<size_t>(side)].get();
-              Expr* other = c->children[static_cast<size_t>(1 - side)].get();
-              if (col->kind != Expr::Kind::kColumnRef ||
-                  col->ref_id != leaf->ref_id || col->column_idx != key_col) {
-                continue;
-              }
-              RefSet other_refs =
-                  LocalRefs(*other, RefSet(static_cast<size_t>(num_refs_), 1),
-                            num_refs_);
-              other_refs[static_cast<size_t>(leaf->ref_id)] = 0;
-              // All block-local refs of the other side must be available,
-              // and it must not reference this leaf.
-              std::vector<bool> oref(static_cast<size_t>(num_refs_), false);
-              CollectReferencedRefs(*other, &oref);
-              bool ok = !oref[static_cast<size_t>(leaf->ref_id)];
-              for (int r = 0; ok && r < num_refs_; ++r) {
-                if (oref[static_cast<size_t>(r)] &&
-                    !avail[static_cast<size_t>(r)]) {
-                  ok = false;
-                }
-              }
-              if (!ok) continue;
-              found = other;
+            IndexableConjunct use = ClassifyConjunct(*c, *leaf, avail);
+            if (use.key != nullptr && use.column_idx == key_col) {
+              key = use.key;
               c = nullptr;  // consumed
               break;
             }
-            if (found) break;
           }
-          if (!found) break;
-          op->lookup_keys.push_back(found);
+          if (key == nullptr) break;
+          op->lookup_keys.push_back(key);
         }
-        if (op->lookup_keys.empty()) {
-          access = AccessMethod::kTableScan;  // downgrade
-          op->index_id = -1;
-        }
-      }
-      if (access == AccessMethod::kIndexRange) {
+        if (op->lookup_keys.empty()) access = AccessMethod::kTableScan;
+      } else if (access == AccessMethod::kIndexRange) {
+        // Constant bounds on the index's first key column; each conjunct is
+        // consumed when every bound it gives is still open.
         const IndexDef& idx =
             leaf->table->indexes[static_cast<size_t>(node->index_id)];
-        int first_col = idx.column_idx.empty() ? -1 : idx.column_idx[0];
         for (Expr*& c : att.at_node) {
-          if (c == nullptr || first_col < 0) continue;
-          if (c->kind == Expr::Kind::kBetween && !c->negated &&
-              c->children[0]->kind == Expr::Kind::kColumnRef &&
-              c->children[0]->ref_id == leaf->ref_id &&
-              c->children[0]->column_idx == first_col &&
-              IsConstExpr(*c->children[1]) && IsConstExpr(*c->children[2]) &&
-              op->range_lo == nullptr && op->range_hi == nullptr) {
-            op->range_lo = c->children[1].get();
-            op->range_hi = c->children[2].get();
-            c = nullptr;
+          if (c == nullptr || idx.column_idx.empty()) continue;
+          IndexableConjunct use = ClassifyConjunct(*c, *leaf, avail);
+          if (!use.is_range() || use.column_idx != idx.column_idx[0] ||
+              (use.lo != nullptr && op->range_lo != nullptr) ||
+              (use.hi != nullptr && op->range_hi != nullptr)) {
             continue;
           }
-          if (c->kind != Expr::Kind::kBinary || !IsComparisonOp(c->bop) ||
-              c->bop == BinaryOp::kNe || c->bop == BinaryOp::kEq) {
-            continue;
+          if (use.lo != nullptr) {
+            op->range_lo = use.lo;
+            op->lo_inclusive = use.lo_inclusive;
           }
-          Expr* col = c->children[0].get();
-          Expr* other = c->children[1].get();
-          BinaryOp cmp = c->bop;
-          if (!(col->kind == Expr::Kind::kColumnRef &&
-                col->ref_id == leaf->ref_id &&
-                col->column_idx == first_col && IsConstExpr(*other))) {
-            std::swap(col, other);
-            cmp = CommuteComparison(cmp);
-            if (!(col->kind == Expr::Kind::kColumnRef &&
-                  col->ref_id == leaf->ref_id &&
-                  col->column_idx == first_col && IsConstExpr(*other))) {
-              continue;
-            }
+          if (use.hi != nullptr) {
+            op->range_hi = use.hi;
+            op->hi_inclusive = use.hi_inclusive;
           }
-          switch (cmp) {
-            case BinaryOp::kLt:
-              if (op->range_hi == nullptr) {
-                op->range_hi = other;
-                op->hi_inclusive = false;
-                c = nullptr;
-              }
-              break;
-            case BinaryOp::kLe:
-              if (op->range_hi == nullptr) {
-                op->range_hi = other;
-                op->hi_inclusive = true;
-                c = nullptr;
-              }
-              break;
-            case BinaryOp::kGt:
-              if (op->range_lo == nullptr) {
-                op->range_lo = other;
-                op->lo_inclusive = false;
-                c = nullptr;
-              }
-              break;
-            case BinaryOp::kGe:
-              if (op->range_lo == nullptr) {
-                op->range_lo = other;
-                op->lo_inclusive = true;
-                c = nullptr;
-              }
-              break;
-            default:
-              break;
-          }
+          c = nullptr;
         }
         if (op->range_lo == nullptr && op->range_hi == nullptr) {
           access = AccessMethod::kTableScan;
-          op->index_id = -1;
         }
+      }
+      if (access != node->access) {
+        // Unbindable: degrade to a scan, and count it — the optimizers
+        // should never cost an access this rule cannot build.
+        op->index_id = -1;
+        ++out_->access_downgrades;
       }
       op->kind = access == AccessMethod::kTableScan
                      ? PhysOp::Kind::kTableScan
@@ -647,9 +580,11 @@ Result<std::unique_ptr<PhysOp>> Refiner::BuildPhys(
     TAURUS_ASSIGN_OR_RETURN(auto left_op,
                             BuildPhys(skel, node->left.get(), avail, attach));
 
-    // For a right-leaf index lookup, join-level equalities binding its
-    // index keys are consumed by the lookup: stage them onto the leaf.
-    if (!node->right->is_join &&
+    // For a right-leaf index lookup under a nested-loop join, join-level
+    // equalities binding its index keys are consumed by the lookup: stage
+    // them onto the leaf. Never under a hash join: that would strip its
+    // hash keys and re-run the lookup once per probe row.
+    if (node->method == JoinMethod::kNestedLoop && !node->right->is_join &&
         node->right->access == AccessMethod::kIndexLookup &&
         node->right->leaf->kind == TableRef::Kind::kBase) {
       Attach& ratt = (*attach)[node->right.get()];

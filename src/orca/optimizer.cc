@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "common/fault_injector.h"
+#include "myopt/access_path.h"
 #include "parser/ast_util.h"
 
 namespace taurus {
@@ -133,6 +134,8 @@ class JoinSearch {
   std::vector<Unit> units_;
   std::vector<PoolConjunct> pool_;
   std::unordered_map<int, int> unit_of_ref_;
+  /// Refs outside the block (bound whenever one of its leaves opens).
+  std::vector<bool> outer_;
   std::unordered_map<uint64_t, GroupState> memo_;
   std::unordered_map<uint64_t, double> rows_memo_;
   std::unordered_map<uint64_t, CardSource> rows_source_;
@@ -242,99 +245,26 @@ Status JoinSearch::SetupUnit(Unit* unit) {
         if (actual_overrides_ != nullptr) ++*actual_overrides_;
       }
     }
-    // Access choice: sequential scan vs index range over a local range
-    // predicate (cost-based, unlike stock MySQL's heuristics).
-    unit->access = OrcaPhysicalOp::Kind::kTableScan;
-    unit->access_cost = unit->base_rows * config_.cost.seq_row;
-    if (unit->leaf->kind == TableRef::Kind::kBase &&
-        unit->leaf->table != nullptr) {
-      for (const Expr* c : unit->local_conds) {
-        const Expr* col = nullptr;
-        if (c->kind == Expr::Kind::kBetween && !c->negated) {
-          col = c->children[0].get();
-        } else if (c->kind == Expr::Kind::kBinary && IsComparisonOp(c->bop) &&
-                   c->bop != BinaryOp::kNe) {
-          if (c->children[0]->kind == Expr::Kind::kColumnRef) {
-            col = c->children[0].get();
-          } else if (c->children[1]->kind == Expr::Kind::kColumnRef) {
-            col = c->children[1].get();
-          }
-        }
-        if (col == nullptr || col->kind != Expr::Kind::kColumnRef ||
-            col->ref_id != unit->leaf->ref_id) {
-          continue;
-        }
-        for (size_t i = 0; i < unit->leaf->table->indexes.size(); ++i) {
-          const IndexDef& idx = unit->leaf->table->indexes[i];
-          if (idx.column_idx.empty() ||
-              idx.column_idx[0] != col->column_idx) {
-            continue;
-          }
-          double range_sel = stats_->ConjunctSelectivity(*c);
-          double cost = config_.cost.index_descend +
-                        range_sel * unit->base_rows * config_.cost.index_row;
-          if (cost < unit->access_cost) {
-            unit->access_cost = cost;
-            unit->access = OrcaPhysicalOp::Kind::kIndexRangeScan;
-            unit->access_index = static_cast<int>(i);
-          }
-        }
-      }
-      // Correlated "ref" access: equality binding an index's first key
-      // column to a purely-outer expression (correlated subquery blocks).
-      for (const Expr* c : unit->local_conds) {
-        if (c->kind != Expr::Kind::kBinary || c->bop != BinaryOp::kEq) {
-          continue;
-        }
-        for (int side = 0; side < 2; ++side) {
-          const Expr& col = *c->children[static_cast<size_t>(side)];
-          const Expr& other = *c->children[static_cast<size_t>(1 - side)];
-          if (col.kind != Expr::Kind::kColumnRef ||
-              col.ref_id != unit->leaf->ref_id) {
-            continue;
-          }
-          std::vector<bool> other_refs(static_cast<size_t>(num_refs_),
-                                       false);
-          CollectReferencedRefs(other, &other_refs);
-          if (unit->leaf->ref_id >= 0 &&
-              other_refs[static_cast<size_t>(unit->leaf->ref_id)]) {
-            continue;
-          }
-          bool touches_sibling_unit = false;
-          for (int r = 0; r < num_refs_; ++r) {
-            if (other_refs[static_cast<size_t>(r)] &&
-                unit_of_ref_.count(r) != 0) {
-              touches_sibling_unit = true;
-            }
-          }
-          if (touches_sibling_unit) continue;
-          for (size_t i = 0; i < unit->leaf->table->indexes.size(); ++i) {
-            const IndexDef& idx = unit->leaf->table->indexes[i];
-            if (idx.column_idx.empty() ||
-                idx.column_idx[0] != col.column_idx) {
-              continue;
-            }
-            double ndv = stats_->NdvOf(unit->leaf->ref_id, col.column_idx,
-                                       std::max(unit->base_rows, 1.0));
-            double match =
-                std::max(unit->base_rows / std::max(ndv, 1.0), 1.0);
-            double cost = config_.cost.index_descend +
-                          match * config_.cost.index_row;
-            if (cost < unit->access_cost) {
-              unit->access_cost = cost;
-              unit->access = OrcaPhysicalOp::Kind::kIndexLookup;
-              unit->access_index = static_cast<int>(i);
-            }
-          }
-        }
-      }
-    }
+    // Access choice: the cheapest of scan, constant-bound range and
+    // correlated lookup that refine can build (cost-based, unlike stock
+    // MySQL's heuristics).
+    LeafAccess access =
+        ChooseLeafAccess(*unit->leaf, unit->local_conds, outer_,
+                         unit->base_rows, *stats_, config_.cost);
+    unit->access_cost = access.cost;
+    unit->access_index = access.index_id;
+    unit->access = access.method == AccessMethod::kIndexRange
+                       ? OrcaPhysicalOp::Kind::kIndexRangeScan
+                   : access.method == AccessMethod::kIndexLookup
+                       ? OrcaPhysicalOp::Kind::kIndexLookup
+                       : OrcaPhysicalOp::Kind::kTableScan;
     return Status::OK();
   }
   // Composite unit: optimize its subtree recursively with a fresh search,
   // folding in join-cond pieces that reference only this unit.
   JoinSearch sub(config_, stats_, num_refs_, partitions_, groups_, governor_,
                  feedback_, actual_overrides_, sketch_overrides_);
+  sub.outer_ = outer_;
   TAURUS_RETURN_IF_ERROR(sub.Flatten(unit->op));
   // Restrict join_conds to subtree-only pieces and push them in.
   for (Expr* jc : unit->join_conds) {
@@ -385,6 +315,16 @@ Status JoinSearch::SetupUnit(Unit* unit) {
 }
 
 Status JoinSearch::Flatten(OrcaLogicalOp* root) {
+  if (outer_.empty()) {
+    // The top-level search covers the whole block: every leaf under the
+    // root is block-own, everything else is an outer reference.
+    outer_.assign(static_cast<size_t>(num_refs_), true);
+    std::vector<TableRef*> leaves;
+    CollectGetLeaves(root, &leaves);
+    for (const TableRef* leaf : leaves) {
+      outer_[static_cast<size_t>(leaf->ref_id)] = false;
+    }
+  }
   uint64_t added = 0;
   TAURUS_RETURN_IF_ERROR(FlattenInto(root, &added, {}));
   for (PoolConjunct& c : pool_) c.units = UnitMask(*c.expr);
@@ -678,46 +618,30 @@ Status JoinSearch::TryPartition(uint64_t set, uint64_t a, uint64_t b,
   }
 
   // Index nested-loop join: right side is a single base leaf with an index
-  // whose first key column is bound by one of the equalities.
+  // whose first key column an equality binds to the left side.
   if (config_.enable_index_nlj && std::popcount(b) == 1) {
     const Unit& u = units_[static_cast<size_t>(std::countr_zero(b))];
-    if (u.leaf != nullptr && u.leaf->kind == TableRef::Kind::kBase &&
-        u.leaf->table != nullptr) {
-      for (size_t i = 0; i < u.leaf->table->indexes.size(); ++i) {
-        const IndexDef& idx = u.leaf->table->indexes[i];
-        if (idx.column_idx.empty()) continue;
-        bool bound = false;
-        for (const Expr* c : conds) {
-          if (c->kind != Expr::Kind::kBinary || c->bop != BinaryOp::kEq) {
-            continue;
-          }
-          for (int side = 0; side < 2; ++side) {
-            const Expr& col = *c->children[static_cast<size_t>(side)];
-            if (col.kind == Expr::Kind::kColumnRef &&
-                col.ref_id == u.leaf->ref_id &&
-                col.column_idx == idx.column_idx[0]) {
-              bound = true;
-            }
-          }
+    if (u.leaf != nullptr) {
+      std::vector<bool> bound = outer_;
+      for (const auto& [ref, unit_idx] : unit_of_ref_) {
+        if ((a & (1ULL << unit_idx)) != 0) {
+          bound[static_cast<size_t>(ref)] = true;
         }
-        if (!bound) continue;
-        double ndv = stats_->NdvOf(u.leaf->ref_id, idx.column_idx[0],
-                                   std::max(u.base_rows, 1.0));
-        double match = std::max(u.base_rows / std::max(ndv, 1.0), 1.0);
-        double cost = ga.cost +
-                      rows_a * (cp.index_descend + match * cp.index_row) +
-                      out_rows * cp.row_out;
-        if (cost < g->cost) {
-          g->cost = cost;
-          g->is_leaf = false;
-          g->left = a;
-          g->right = b;
-          g->impl = OrcaPhysicalOp::Kind::kNLJoin;
-          g->join_type = jt;
-          g->inner_index = static_cast<int>(i);
-          g->inner_lookup_cost =
-              rows_a * (cp.index_descend + match * cp.index_row);
-        }
+      }
+      LeafAccess lookup = ChooseJoinLookup(
+          *u.leaf, std::vector<const Expr*>(conds.begin(), conds.end()), bound,
+          u.base_rows, *stats_, cp);
+      double lookup_cost = rows_a * lookup.cost;
+      double cost = ga.cost + lookup_cost + out_rows * cp.row_out;
+      if (lookup.index_id >= 0 && cost < g->cost) {
+        g->cost = cost;
+        g->is_leaf = false;
+        g->left = a;
+        g->right = b;
+        g->impl = OrcaPhysicalOp::Kind::kNLJoin;
+        g->join_type = jt;
+        g->inner_index = lookup.index_id;
+        g->inner_lookup_cost = lookup_cost;
       }
     }
   }

@@ -51,7 +51,16 @@ std::pair<size_t, size_t> OrderedIndex::Range(const Value* lo,
                                               bool lo_inclusive,
                                               const Value* hi,
                                               bool hi_inclusive) const {
-  size_t begin = 0;
+  // SQL comparison semantics: a NULL bound matches nothing, and a NULL key
+  // satisfies no bound (NULL keys sort first, so an open low end starts
+  // past them).
+  if ((lo != nullptr && lo->is_null()) || (hi != nullptr && hi->is_null())) {
+    return {0, 0};
+  }
+  size_t begin = static_cast<size_t>(
+      std::partition_point(entries_.begin(), entries_.end(),
+                           [](const Entry& e) { return e.key[0].is_null(); }) -
+      entries_.begin());
   size_t end = entries_.size();
   if (lo != nullptr) {
     begin = static_cast<size_t>(

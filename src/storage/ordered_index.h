@@ -39,7 +39,9 @@ class OrderedIndex {
   std::pair<size_t, size_t> EqualRange(const Row& prefix) const;
 
   /// Returns the [begin, end) range of entries whose first key column lies
-  /// in [lo, hi] with the given inclusivities. Null bounds mean unbounded.
+  /// in [lo, hi] with the given inclusivities. Null pointers mean
+  /// unbounded. As in SQL comparisons, a bound whose value is NULL gives an
+  /// empty range and a NULL key lies in no range.
   std::pair<size_t, size_t> Range(const Value* lo, bool lo_inclusive,
                                   const Value* hi, bool hi_inclusive) const;
 

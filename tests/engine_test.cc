@@ -139,6 +139,50 @@ TEST_F(EngineTest, OrcaDisabledNeverDetours) {
   EXPECT_FALSE(r->used_orca);
 }
 
+TEST_F(EngineTest, NullIndexRangeBoundMatchesNothing) {
+  // A comparison with NULL is never true, so an index range whose bound
+  // evaluates to NULL yields no rows, on both paths.
+  for (const char* cond :
+       {"o_id < NULL", "o_id > NULL", "o_id = NULL",
+        "o_id BETWEEN NULL AND 20", "o_id BETWEEN 5 AND NULL"}) {
+    const std::string sql =
+        std::string("SELECT COUNT(*) FROM orders WHERE ") + cond;
+    for (OptimizerPath path : {OptimizerPath::kMySql, OptimizerPath::kOrca}) {
+      auto explain = db_.Explain(sql, path);
+      ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+      EXPECT_NE(explain->find("Index range scan on orders"),
+                std::string::npos)
+          << *explain;
+      auto r = db_.Query(sql, path);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r->rows[0][0].AsInt(), 0) << sql;
+    }
+  }
+}
+
+TEST_F(EngineTest, NullKeysLieInNoIndexRange) {
+  ASSERT_TRUE(db_.ExecuteSql("CREATE TABLE nk (k INT, v INT NOT NULL)").ok());
+  ASSERT_TRUE(db_.ExecuteSql("CREATE INDEX nk_k ON nk (k)").ok());
+  std::vector<Row> rows;
+  for (int i = 0; i < 400; ++i) {
+    rows.push_back({i % 4 == 0 ? Value::Null() : Value::Int(i), Value::Int(i)});
+  }
+  ASSERT_TRUE(db_.BulkLoad("nk", std::move(rows)).ok());
+  ASSERT_TRUE(db_.AnalyzeAll().ok());
+  // k < 10 holds for 1, 2, 3, 5, 6, 7, 9; the 100 NULL keys sort first in
+  // the index but satisfy no comparison.
+  const std::string sql = "SELECT COUNT(*) FROM nk WHERE k < 10";
+  for (OptimizerPath path : {OptimizerPath::kMySql, OptimizerPath::kOrca}) {
+    auto explain = db_.Explain(sql, path);
+    ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+    EXPECT_NE(explain->find("Index range scan on nk"), std::string::npos)
+        << *explain;
+    auto r = db_.Query(sql, path);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->rows[0][0].AsInt(), 7);
+  }
+}
+
 TEST_F(EngineTest, PathsAgreeSimpleAggregate) {
   ExpectPathsAgree("SELECT o_cust, COUNT(*), SUM(o_total) FROM orders "
                    "GROUP BY o_cust");

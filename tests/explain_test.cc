@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "engine/database.h"
 
 namespace taurus {
@@ -70,6 +74,25 @@ TEST_F(ExplainTest, IndexLookupShowsKeyBinding) {
   EXPECT_NE(e->find("Index lookup on li using li_pid"), std::string::npos)
       << *e;
   EXPECT_NE(e->find("l_pid="), std::string::npos);
+}
+
+TEST_F(ExplainTest, IndexRangeShowsBounds) {
+  // Range scans print their bound predicate, as lookups print their keys.
+  for (OptimizerPath path : {OptimizerPath::kMySql, OptimizerPath::kOrca}) {
+    for (const auto& [where, bounds] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"p_id = 7", "(p_id = 7)"},
+             {"p_id < 10", "(p_id < 10)"},
+             {"p_id >= 45", "(p_id >= 45)"},
+             {"p_id BETWEEN 3 AND 9", "(3 <= p_id <= 9)"},
+             {"p_id > 3 AND p_id < 9", "(3 < p_id < 9)"}}) {
+      auto e = db_.Explain("SELECT p_brand FROM part WHERE " + where, path);
+      ASSERT_TRUE(e.ok()) << e.status().ToString();
+      size_t scan = e->find("Index range scan on part using ");
+      ASSERT_NE(scan, std::string::npos) << *e;
+      EXPECT_NE(e->find(bounds, scan), std::string::npos) << *e;
+    }
+  }
 }
 
 TEST_F(ExplainTest, OrcaHeaderAndEstimates) {

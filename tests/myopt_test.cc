@@ -278,6 +278,7 @@ TEST_F(MyOptTest, RefinementDowngradesUnbindableLookup) {
   auto q = RefinePlan(std::move(*stmt), **skel, catalog_);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   EXPECT_EQ((*q)->root->join_root->kind, PhysOp::Kind::kTableScan);
+  EXPECT_EQ((*q)->access_downgrades, 1);  // counted, never silent
 }
 
 TEST_F(MyOptTest, RefinementCollectsAggregates) {
@@ -343,6 +344,101 @@ TEST_F(MyOptTest, SortKeptForDescOrNonIndexOrder) {
   auto rows = ExecuteQuery(q->get(), storage_);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ((*rows)[0][0].AsInt(), 99);
+}
+
+// ---------------------------------------------------------------------------
+// The access-path rule: the optimizer costs only what refine can build
+// ---------------------------------------------------------------------------
+
+TEST_F(MyOptTest, CorrelatedEqualityPicksBoundLookup) {
+  // The single-table correlated subquery of TPC-H Q17/Q20: b_fk = s_id is a
+  // lookup keyed by the outer row, never a range (its bound is no constant).
+  auto stmt = Prep(
+      "SELECT s_id FROM small WHERE s_id * 100 < "
+      "(SELECT SUM(b_v) FROM big WHERE b_fk = s_id)");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  auto skel = MySqlOptimize(catalog_, &*stmt);
+  ASSERT_TRUE(skel.ok()) << skel.status().ToString();
+  ASSERT_EQ((*skel)->subqueries.size(), 1u);
+  const SkeletonNode& inner = *(*skel)->subqueries.begin()->second->root;
+  EXPECT_EQ(inner.access, AccessMethod::kIndexLookup);
+  EXPECT_EQ(inner.index_id, 1);  // big_fk
+  auto q = RefinePlan(std::move(*stmt), **skel, catalog_);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ((*q)->access_downgrades, 0);
+  ASSERT_EQ((*q)->subplans.size(), 1u);
+  const PhysOp& leaf = *(*q)->subplans[0]->plan->join_root;
+  ASSERT_EQ(leaf.kind, PhysOp::Kind::kIndexLookup);
+  ASSERT_EQ(leaf.lookup_keys.size(), 1u);
+  EXPECT_EQ(leaf.lookup_keys[0]->ToString(), "s_id");
+  EXPECT_TRUE(leaf.filters.empty());
+}
+
+TEST_F(MyOptTest, ConstEqualityRefinesToPointRange) {
+  auto stmt = Prep("SELECT b_v FROM big WHERE b_id = 42");
+  ASSERT_TRUE(stmt.ok());
+  auto skel = MySqlOptimize(catalog_, &*stmt);
+  ASSERT_TRUE(skel.ok());
+  EXPECT_EQ((*skel)->root->access, AccessMethod::kIndexRange);
+  auto q = RefinePlan(std::move(*stmt), **skel, catalog_);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ((*q)->access_downgrades, 0);
+  const PhysOp& leaf = *(*q)->root->join_root;
+  ASSERT_EQ(leaf.kind, PhysOp::Kind::kIndexRange);
+  ASSERT_NE(leaf.range_lo, nullptr);
+  EXPECT_EQ(leaf.range_lo, leaf.range_hi);
+  EXPECT_TRUE(leaf.lo_inclusive);
+  EXPECT_TRUE(leaf.hi_inclusive);
+  EXPECT_TRUE(leaf.filters.empty());
+  auto rows = ExecuteQuery(q->get(), storage_);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_DOUBLE_EQ((*rows)[0][0].AsDouble(), 10.5);
+}
+
+TEST_F(MyOptTest, SameTableComparisonIsNeverARange) {
+  // b_id <= b_fk has no constant bound: refine could only scan, so the
+  // optimizer must not cost it as an index range.
+  auto stmt = Prep("SELECT COUNT(*) FROM big WHERE b_id <= b_fk");
+  ASSERT_TRUE(stmt.ok());
+  auto skel = MySqlOptimize(catalog_, &*stmt);
+  ASSERT_TRUE(skel.ok());
+  EXPECT_EQ((*skel)->root->access, AccessMethod::kTableScan);
+  auto q = RefinePlan(std::move(*stmt), **skel, catalog_);
+  ASSERT_TRUE(q.ok());
+  EXPECT_EQ((*q)->access_downgrades, 0);
+  auto rows = ExecuteQuery(q->get(), storage_);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ((*rows)[0][0].AsInt(), 50);  // b_id <= b_id % 50 for 0..49
+}
+
+TEST_F(MyOptTest, HashJoinKeepsKeysOverConstantKeyedLookup) {
+  // TPC-DS Q88's shape: a hash join whose right leaf is a lookup with a
+  // constant key. Staging the join equality onto that leaf would strip the
+  // hash keys and re-run the lookup once per probe row.
+  auto stmt = Prep(
+      "SELECT COUNT(*) FROM big b1, big b2 WHERE b1.b_v = b2.b_v AND "
+      "b2.b_fk = 7");
+  ASSERT_TRUE(stmt.ok());
+  auto skel = MySqlOptimize(catalog_, &*stmt);
+  ASSERT_TRUE(skel.ok());
+  SkeletonNode* root = (*skel)->root.get();
+  ASSERT_TRUE(root->is_join);
+  ASSERT_EQ(root->method, JoinMethod::kHash);
+  if (root->right->leaf->alias != "b2") std::swap(root->left, root->right);
+  root->right->access = AccessMethod::kIndexLookup;
+  root->right->index_id = 1;  // big_fk, keyed by the constant 7
+  auto q = RefinePlan(std::move(*stmt), **skel, catalog_);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const PhysOp& join = *(*q)->root->join_root;
+  ASSERT_EQ(join.kind, PhysOp::Kind::kHashJoin);
+  EXPECT_EQ(join.hash_keys.size(), 1u);
+  ASSERT_EQ(join.right->kind, PhysOp::Kind::kIndexLookup);
+  ASSERT_EQ(join.right->lookup_keys.size(), 1u);
+  EXPECT_EQ(join.right->lookup_keys[0]->ToString(), "7");
+  auto rows = ExecuteQuery(q->get(), storage_);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ((*rows)[0][0].AsInt(), 100);
 }
 
 }  // namespace

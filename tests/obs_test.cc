@@ -503,6 +503,8 @@ TEST_F(ObsEngineTest, MetricsJsonCoversTheFullTaurusInventory) {
            "taurus.plan_cache.hits", "taurus.plan_cache.insertions",
            "taurus.plan_cache.invalidations", "taurus.plan_cache.misses",
            "taurus.plan_cache.shards",
+           // plan refinement
+           "taurus.refine.access_downgrades",
            // quarantine + verifiers
            "taurus.quarantine.entries", "taurus.verify.rules_checked",
            "taurus.verify.violations", "taurus.verify.lock_rank.checks",

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include "bridge/orca_path.h"
 #include "bridge/parse_tree_converter.h"
+#include "exec/block_executor.h"
 #include "frontend/prepare.h"
 #include "mdp/stats_adapter.h"
 #include "frontend/normalize.h"
+#include "myopt/refine.h"
 #include "orca/optimizer.h"
 #include "parser/parser.h"
 #include "storage/storage.h"
@@ -77,6 +80,25 @@ class OrcaTest : public ::testing::Test {
     last_partitions_ = optimizer.partitions_evaluated();
     last_groups_ = optimizer.num_groups();
     return plan;
+  }
+
+  /// Runs the whole Orca detour (every block) into a skeleton plan; the
+  /// statement stays in stmt_ for RefineStmt.
+  Result<std::unique_ptr<BlockSkeleton>> OrcaSkeleton(const std::string& sql) {
+    auto parsed = ParseSelect(sql);
+    if (!parsed.ok()) return parsed.status();
+    auto bound = BindStatement(catalog_, std::move(*parsed));
+    if (!bound.ok()) return bound.status();
+    stmt_ = std::move(*bound);
+    TAURUS_RETURN_IF_ERROR(PrepareStatement(&stmt_));
+    OrcaConfig config;  // the detour keeps a reference
+    OrcaPathOptimizer detour(catalog_, &stmt_, mdp_.get(), config);
+    return detour.Optimize();
+  }
+
+  Result<std::unique_ptr<CompiledQuery>> RefineStmt(
+      const BlockSkeleton& skel) {
+    return RefinePlan(std::move(stmt_), skel, catalog_);
   }
 
   static int CountKind(const OrcaPhysicalOp& op, OrcaPhysicalOp::Kind kind) {
@@ -224,6 +246,87 @@ TEST_F(OrcaTest, CostsAndRowsPopulated) {
   EXPECT_GT((*plan)->cost, 0.0);
   EXPECT_GT((*plan)->rows, 100.0);  // ~1000 rows expected
   EXPECT_LT((*plan)->rows, 10000.0);
+}
+
+// ---------------------------------------------------------------------------
+// The access-path rule: Orca costs only what refine can build
+// ---------------------------------------------------------------------------
+
+TEST_F(OrcaTest, CorrelatedEqualityPicksBoundLookup) {
+  // TPC-H Q20's inner block: two correlated equalities (so the detour
+  // keeps the subquery correlated), f_a = b_id keyed by the outer row.
+  // Costing it as a range, which refine cannot bind to a non-constant,
+  // rebuilt it as a full fact scan per outer row.
+  auto skel = OrcaSkeleton(
+      "SELECT b_id FROM dim_b WHERE b_id < "
+      "(SELECT SUM(f_val) FROM fact WHERE f_a = b_id AND f_b = b_id)");
+  ASSERT_TRUE(skel.ok()) << skel.status().ToString();
+  ASSERT_EQ((*skel)->subqueries.size(), 1u);
+  const SkeletonNode& inner = *(*skel)->subqueries.begin()->second->root;
+  EXPECT_EQ(inner.access, AccessMethod::kIndexLookup);
+  EXPECT_EQ(inner.index_id, 1);  // fact_a
+  auto q = RefineStmt(**skel);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ((*q)->access_downgrades, 0);
+  ASSERT_EQ((*q)->subplans.size(), 1u);
+  const PhysOp& leaf = *(*q)->subplans[0]->plan->join_root;
+  ASSERT_EQ(leaf.kind, PhysOp::Kind::kIndexLookup);
+  ASSERT_EQ(leaf.lookup_keys.size(), 1u);
+  EXPECT_EQ(leaf.lookup_keys[0]->ToString(), "b_id");
+}
+
+TEST_F(OrcaTest, ConstEqualityRefinesToPointRange) {
+  auto skel = OrcaSkeleton("SELECT f_val FROM fact WHERE f_id = 42");
+  ASSERT_TRUE(skel.ok()) << skel.status().ToString();
+  EXPECT_EQ((*skel)->root->access, AccessMethod::kIndexRange);
+  auto q = RefineStmt(**skel);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ((*q)->access_downgrades, 0);
+  const PhysOp& leaf = *(*q)->root->join_root;
+  ASSERT_EQ(leaf.kind, PhysOp::Kind::kIndexRange);
+  ASSERT_NE(leaf.range_lo, nullptr);
+  EXPECT_EQ(leaf.range_lo, leaf.range_hi);
+  EXPECT_TRUE(leaf.lo_inclusive);
+  EXPECT_TRUE(leaf.hi_inclusive);
+  auto rows = ExecuteQuery(q->get(), storage_);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_DOUBLE_EQ((*rows)[0][0].AsDouble(), 21.0);
+}
+
+TEST_F(OrcaTest, SameTableComparisonIsNeverARange) {
+  OrcaConfig config;
+  auto plan =
+      OptimizeSql("SELECT COUNT(*) FROM fact WHERE f_id <= f_a", config);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(CountKind(**plan, OrcaPhysicalOp::Kind::kIndexRangeScan), 0)
+      << (*plan)->ToString();
+  EXPECT_EQ(CountKind(**plan, OrcaPhysicalOp::Kind::kTableScan), 1);
+}
+
+TEST_F(OrcaTest, HashJoinKeepsKeysOverConstantKeyedLookup) {
+  // TPC-DS Q88's shape (see the MySQL-path twin in myopt_test).
+  auto skel = OrcaSkeleton(
+      "SELECT COUNT(*) FROM fact f1, fact f2 WHERE f1.f_val = f2.f_val AND "
+      "f2.f_a = 3");
+  ASSERT_TRUE(skel.ok()) << skel.status().ToString();
+  SkeletonNode* root = (*skel)->root.get();
+  ASSERT_TRUE(root->is_join);
+  ASSERT_EQ(root->method, JoinMethod::kHash);
+  if (root->right->leaf->alias != "f2") std::swap(root->left, root->right);
+  root->right->access = AccessMethod::kIndexLookup;
+  root->right->index_id = 1;  // fact_a, keyed by the constant 3
+  auto q = RefineStmt(**skel);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const PhysOp& join = *(*q)->root->join_root;
+  ASSERT_EQ(join.kind, PhysOp::Kind::kHashJoin);
+  EXPECT_EQ(join.hash_keys.size(), 1u);
+  ASSERT_EQ(join.right->kind, PhysOp::Kind::kIndexLookup);
+  ASSERT_EQ(join.right->lookup_keys.size(), 1u);
+  EXPECT_EQ(join.right->lookup_keys[0]->ToString(), "3");
+  auto rows = ExecuteQuery(q->get(), storage_);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ((*rows)[0][0].AsInt(), 100);
 }
 
 // ---------------------------------------------------------------------------

@@ -87,6 +87,11 @@ class TpcdsQueryTest : public TpcdsTest,
 
 TEST_P(TpcdsQueryTest, PathsAgree) {
   const std::string& sql = TpcdsQueries()[static_cast<size_t>(GetParam())];
+  // Both optimizers cost only index accesses refinement can bind, so no
+  // chosen access is ever rebuilt as a table scan.
+  const Counter* downgrades =
+      db()->metrics().GetCounter("taurus.refine.access_downgrades");
+  const int64_t downgrades_before = downgrades->Value();
   auto mysql = db()->Query(sql, OptimizerPath::kMySql);
   ASSERT_TRUE(mysql.ok()) << "MySQL path failed on Q" << GetParam() + 1
                           << ": " << mysql.status().ToString();
@@ -95,6 +100,8 @@ TEST_P(TpcdsQueryTest, PathsAgree) {
                          << orca.status().ToString();
   EXPECT_EQ(Fingerprint(mysql->rows), Fingerprint(orca->rows))
       << "plan paths disagree on Q" << GetParam() + 1;
+  EXPECT_EQ(downgrades->Value(), downgrades_before)
+      << "refine downgraded an index access on Q" << GetParam() + 1;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, TpcdsQueryTest, ::testing::Range(0, 99),

@@ -87,6 +87,11 @@ class TpchQueryTest : public TpchTest,
 
 TEST_P(TpchQueryTest, PathsAgree) {
   const std::string& sql = TpchQueries()[static_cast<size_t>(GetParam())];
+  // Both optimizers cost only index accesses refinement can bind, so no
+  // chosen access is ever rebuilt as a table scan.
+  const Counter* downgrades =
+      db()->metrics().GetCounter("taurus.refine.access_downgrades");
+  const int64_t downgrades_before = downgrades->Value();
   auto mysql = db()->Query(sql, OptimizerPath::kMySql);
   ASSERT_TRUE(mysql.ok()) << "MySQL path failed on Q" << GetParam() + 1
                           << ": " << mysql.status().ToString();
@@ -96,6 +101,8 @@ TEST_P(TpchQueryTest, PathsAgree) {
   EXPECT_TRUE(orca->used_orca);
   EXPECT_EQ(Fingerprint(mysql->rows), Fingerprint(orca->rows))
       << "plan paths disagree on Q" << GetParam() + 1;
+  EXPECT_EQ(downgrades->Value(), downgrades_before)
+      << "refine downgraded an index access on Q" << GetParam() + 1;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, TpchQueryTest, ::testing::Range(0, 22),
