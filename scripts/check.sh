@@ -7,7 +7,8 @@
 #     1. RelWithDebInfo with -DTAURUS_WERROR=ON (warnings are errors), the
 #        configuration the plan verifiers gate behind the verify_plans knob;
 #        after ctest it runs a 3-second perfbench smoke of each benchmark
-#        workload, which must report "correct": true.
+#        workload, plus one traced (--trace 1) sessions_hitpath run, each
+#        of which must report "correct": true.
 #     2. Debug in build-debug, where the plan verifiers are always on
 #        (kVerifyPlansDefault), assertions are live, and the lock-rank
 #        registry is armed (kLockRankChecksDefault): every mutex
@@ -133,6 +134,17 @@ if command -v python3 >/dev/null 2>&1; then
     fi
     echo "check.sh: perfbench $workload correct"
   done
+  # One traced replay: --trace 1 reads the CompiledQuery flags and the
+  # QueryResult timings per statement, so a change to the query record
+  # that the per-layer trace depends on fails here.
+  if ! result=$(cd "$repo_root" && python3 perfbench/run.py \
+      --workload sessions_hitpath --seed 20220329 --seconds 3 --trace 1 \
+      | tail -n 1) || ! grep -q '"correct": true' <<<"$result"; then
+    echo "check.sh: FAIL — traced perfbench sessions_hitpath:" \
+      "${result:-no result}" >&2
+    exit 1
+  fi
+  echo "check.sh: traced perfbench sessions_hitpath correct"
 else
   echo "check.sh: python3 not found; skipping the benchmark smoke." >&2
 fi

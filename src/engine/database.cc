@@ -4,6 +4,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 
 #include "bridge/decorrelate.h"
 #include "bridge/parse_tree_converter.h"
@@ -255,7 +256,8 @@ Result<std::unique_ptr<CompiledQuery>> Database::Compile(
     const std::string& sql, OptimizerPath path) {
   std::shared_ptr<Tracer> tracer = BeginTrace(QueryOptions{});
   ScopedSpan compile_span(tracer.get(), "compile");
-  return CompileInternal(sql, path, plan_cache_config_.enable, tracer.get());
+  return CompileInternal(sql, path, plan_cache_config_.enable, tracer.get(),
+                         /*failure_facts=*/nullptr);
 }
 
 void Database::BindCounters() {
@@ -307,26 +309,6 @@ void Database::BindCounters() {
       metrics_.GetGauge("taurus.exec.profile.last_workers");
   counters_.optimize_ms = metrics_.GetHistogram("taurus.query.optimize_ms");
   counters_.execute_ms = metrics_.GetHistogram("taurus.query.execute_ms");
-}
-
-OptimizerHealth Database::optimizer_health() const {
-  OptimizerHealth h;
-  h.detours_attempted = counters_.detours_attempted->Value();
-  h.detours_failed = counters_.detours_failed->Value();
-  h.fallbacks = counters_.fallbacks->Value();
-  h.budget_kills = counters_.budget_kills->Value();
-  h.exec_budget_kills = counters_.exec_budget_kills->Value();
-  h.quarantine_hits = counters_.quarantine_hits->Value();
-  return h;
-}
-
-void Database::ResetOptimizerHealth() {
-  counters_.detours_attempted->Reset();
-  counters_.detours_failed->Reset();
-  counters_.fallbacks->Reset();
-  counters_.budget_kills->Reset();
-  counters_.exec_budget_kills->Reset();
-  counters_.quarantine_hits->Reset();
 }
 
 void Database::SyncGaugeMetrics() {
@@ -469,12 +451,107 @@ void Database::RecordDetourFailure(uint64_t fingerprint_hash) {
   if (newly_quarantined) digest_store_.BumpEpoch(fingerprint_hash, "quarantine");
 }
 
+Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
+    const std::string& sql, OptimizerPath path, bool use_cache,
+    Tracer* tracer, CompileStats* failure_facts) {
+  CompileJob job{sql, path, use_cache, tracer,
+                 std::chrono::steady_clock::now()};
+  auto compiled = RunCompileStages(&job);
+  if (!compiled.ok() && failure_facts != nullptr) {
+    *failure_facts = std::move(job.stats);
+  }
+  return compiled;
+}
+
+Result<std::unique_ptr<CompiledQuery>> Database::RunCompileStages(
+    CompileJob* job) {
+  TAURUS_RETURN_IF_ERROR(CompileFrontend(job));
+  if (job->use_cache) {
+    std::shared_ptr<const PlanCacheEntry> entry = LookupCache(job);
+    if (entry != nullptr) {
+      auto hit = CompileFromCacheEntry(*entry, job);
+      if (hit.ok()) return hit;
+      // Thaw/refine mismatch (should not happen; defensive): the statement
+      // was consumed, so recompile from SQL with the cache bypassed.
+      counters_.cache_misses->Increment();
+      job->use_cache = false;
+      TAURUS_RETURN_IF_ERROR(CompileFrontend(job));
+    }
+  }
+  if (RouteCompile(job)) {
+    auto compiled = CompileViaOrca(job);
+    // Forced-Orca surfaces a detour failure; the auto route aborts the
+    // detour and resorts to the usual MySQL optimization (Section 4.2.1).
+    if (compiled.ok() || job->path == OptimizerPath::kOrca) return compiled;
+    TAURUS_RETURN_IF_ERROR(FallBackToMySql(job, compiled.status()));
+  }
+  return CompileViaMySql(job);
+}
+
+Status Database::CompileFrontend(CompileJob* job) {
+  Tracer* tracer = job->tracer;
+  ScopedSpan parse_span(tracer, "parse");
+  TAURUS_ASSIGN_OR_RETURN(auto parsed, ParseSelect(job->sql));
+  parse_span.End();
+  ScopedSpan bind_span(tracer, "bind");
+  TAURUS_ASSIGN_OR_RETURN(job->stmt,
+                          BindStatement(catalog_, std::move(parsed)));
+  bind_span.End();
+  ScopedSpan prepare_span(tracer, "prepare");
+  TAURUS_RETURN_IF_ERROR(PrepareStatement(&job->stmt, prepare_options_));
+  prepare_span.End();
+
+  // The normalized statement fingerprint keys the plan cache, the
+  // quarantine map, the feedback store and the digest store.
+  if (job->use_cache || quarantine_config_.enable || feedback_config_.enable ||
+      digest_config_.enable) {
+    ScopedSpan fp_span(tracer, "fingerprint");
+    StatementFingerprint fp = FingerprintStatement(job->stmt);
+    job->stats.fingerprint = fp.hash;
+    job->stats.canonical = std::move(fp.canonical);
+    job->quarantined = job->path == OptimizerPath::kAuto &&
+                       quarantine_config_.enable && IsQuarantined(fp.hash);
+    fp_span.Attr("fingerprint", std::to_string(fp.hash));
+    if (job->quarantined) fp_span.Attr("quarantined", "true");
+  }
+
+  // Execution feedback for this fingerprint: the snapshot feeds the Orca
+  // detour's cardinality estimation; the drift version guards the plan
+  // cache (an entry stamped with an older version is evicted on lookup).
+  if (feedback_config_.enable && job->stats.fingerprint != 0) {
+    job->feedback = feedback_store_.Snapshot(job->stats.fingerprint,
+                                             catalog_.schema_version(),
+                                             catalog_.stats_version());
+    job->feedback_version = feedback_store_.DriftVersion(job->stats.fingerprint);
+  }
+  return Status::OK();
+}
+
+std::shared_ptr<const PlanCacheEntry> Database::LookupCache(CompileJob* job) {
+  // Looked up strictly before the router, so a hit skips routing and both
+  // optimizers. A quarantined statement refuses a cached Orca plan; the
+  // fresh compile re-caches it under the same key as a MySQL-path plan.
+  if (plan_cache_.capacity() != plan_cache_config_.capacity) {
+    plan_cache_.set_capacity(plan_cache_config_.capacity);
+  }
+  job->cache_key = MakeCacheKey(job->stats.canonical, job->path);
+  ScopedSpan lookup_span(job->tracer, "cache.lookup");
+  std::shared_ptr<const PlanCacheEntry> entry =
+      plan_cache_.Lookup(job->cache_key, catalog_.schema_version(),
+                         catalog_.stats_version(), job->feedback_version);
+  if (entry != nullptr && job->quarantined && entry->used_orca) entry.reset();
+  lookup_span.Attr("hit", entry != nullptr ? "true" : "false");
+  if (entry == nullptr) counters_.cache_misses->Increment();
+  return entry;
+}
+
 Result<std::unique_ptr<CompiledQuery>> Database::CompileFromCacheEntry(
-    const PlanCacheEntry& entry, BoundStatement stmt, Tracer* tracer) {
+    const PlanCacheEntry& entry, CompileJob* job) {
   // Replay the route's deterministic pre-optimization AST rewrites: the
   // cached skeleton was built against the rewritten statement, and the
   // rewritten predicates must reach refinement/execution exactly as on the
   // cold compile.
+  BoundStatement& stmt = job->stmt;
   if (entry.via_orca_route) {
     if (orca_config_.enable_decorrelation) {
       TAURUS_RETURN_IF_ERROR(DecorrelateScalarSubqueries(&stmt).status());
@@ -489,7 +566,7 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileFromCacheEntry(
       ApplyIndexGatedOrFactoring(b, stmt.leaves);
     });
   }
-  ScopedSpan thaw_span(tracer, "cache.thaw");
+  ScopedSpan thaw_span(job->tracer, "cache.thaw");
   TAURUS_ASSIGN_OR_RETURN(auto skeleton, ThawSkeleton(entry.skeleton, stmt));
   thaw_span.End();
   // Thaw verification: a cached skeleton that no longer satisfies the
@@ -498,298 +575,162 @@ Result<std::unique_ptr<CompiledQuery>> Database::CompileFromCacheEntry(
   // SQL with the cache bypassed.
   VerifyReport report;
   if (verify_config_.verify_plans) {
-    ScopedSpan verify_span(tracer, "verify.thaw");
+    ScopedSpan verify_span(job->tracer, "verify.thaw");
     VerifySkeletonPlan(*skeleton, catalog_,
                        /*check_cte_pairing=*/entry.used_orca, &report);
     if (verify_config_.enforce && !report.ok()) {
       return report.ToStatus("verify.thaw");
     }
   }
-  TAURUS_ASSIGN_OR_RETURN(auto compiled,
-                          Refine(std::move(stmt), *skeleton, tracer));
-  compiled->used_orca = entry.used_orca;
-  if (verify_config_.verify_plans) {
-    ScopedSpan verify_span(tracer, "verify.block");
-    VerifyBlockPlan(*compiled, &report);
-    if (verify_config_.enforce && entry.used_orca && !report.ok()) {
-      return report.ToStatus("verify.block");
-    }
-  }
-  compiled->verifier_rules = report.rules_checked;
-  compiled->verifier_violations = report.violations();
+  TAURUS_ASSIGN_OR_RETURN(
+      auto compiled, FinishCompile(job, *skeleton, entry.used_orca,
+                                   /*cache_plan=*/false, &report));
+  counters_.cache_hits->Increment();
+  compiled->plan_cache_hit = true;
+  compiled->optimize_saved_ms =
+      std::max(entry.cold_optimize_ms - compiled->optimize_ms, 0.0);
   return compiled;
 }
 
-Result<std::unique_ptr<CompiledQuery>> Database::Refine(
-    BoundStatement stmt, const BlockSkeleton& skeleton, Tracer* tracer) {
-  ScopedSpan refine_span(tracer, "refine");
-  TAURUS_ASSIGN_OR_RETURN(auto compiled,
-                          RefinePlan(std::move(stmt), skeleton, catalog_));
-  counters_.access_downgrades->Increment(compiled->access_downgrades);
-  return compiled;
-}
-
-Result<std::unique_ptr<CompiledQuery>> Database::CompileInternal(
-    const std::string& sql, OptimizerPath path, bool use_cache,
-    Tracer* tracer) {
-  auto start = std::chrono::steady_clock::now();
-  // Tracked locally (cross-session safe) and mirrored into the "most
-  // recent" member view for single-session callers.
-  bool fell_back = false;
-  SetLastFellBack(false);
-
-  ScopedSpan parse_span(tracer, "parse");
-  TAURUS_ASSIGN_OR_RETURN(auto parsed, ParseSelect(sql));
-  parse_span.End();
-  ScopedSpan bind_span(tracer, "bind");
-  TAURUS_ASSIGN_OR_RETURN(BoundStatement stmt,
-                          BindStatement(catalog_, std::move(parsed)));
-  bind_span.End();
-  ScopedSpan prepare_span(tracer, "prepare");
-  TAURUS_RETURN_IF_ERROR(PrepareStatement(&stmt, prepare_options_));
-  prepare_span.End();
-
-  // The normalized statement fingerprint keys both the plan cache and the
-  // quarantine map.
-  uint64_t fingerprint = 0;
-  std::string canonical;
-  bool quarantined = false;
-  if (use_cache || quarantine_config_.enable || feedback_config_.enable ||
-      digest_config_.enable) {
-    ScopedSpan fp_span(tracer, "fingerprint");
-    StatementFingerprint fp = FingerprintStatement(stmt);
-    fingerprint = fp.hash;
-    canonical = std::move(fp.canonical);
-    quarantined = path == OptimizerPath::kAuto && quarantine_config_.enable &&
-                  IsQuarantined(fingerprint);
-    fp_span.Attr("fingerprint", std::to_string(fingerprint));
-    if (quarantined) fp_span.Attr("quarantined", "true");
-  }
-
-  // Execution feedback for this fingerprint: the snapshot feeds the Orca
-  // detour's cardinality estimation; the drift version guards the plan
-  // cache (an entry stamped with an older version is evicted below).
-  std::shared_ptr<const FeedbackSnapshot> feedback;
-  uint64_t feedback_version = 0;
-  if (feedback_config_.enable && fingerprint != 0) {
-    feedback = feedback_store_.Snapshot(fingerprint, catalog_.schema_version(),
-                                        catalog_.stats_version());
-    feedback_version = feedback_store_.DriftVersion(fingerprint);
-  }
-
-  // Skeleton-plan cache: looked up strictly before the router, so a hit
-  // skips routing and both optimizers. A quarantined statement refuses a
-  // cached Orca plan; the fresh compile below re-caches it under the same
-  // key as a MySQL-path plan.
-  std::string cache_key;
-  if (use_cache) {
-    if (plan_cache_.capacity() != plan_cache_config_.capacity) {
-      plan_cache_.set_capacity(plan_cache_config_.capacity);
-    }
-    cache_key = MakeCacheKey(canonical, path);
-    ScopedSpan lookup_span(tracer, "cache.lookup");
-    std::shared_ptr<const PlanCacheEntry> entry =
-        plan_cache_.Lookup(cache_key, catalog_.schema_version(),
-                           catalog_.stats_version(), feedback_version);
-    if (entry != nullptr && quarantined && entry->used_orca) entry.reset();
-    lookup_span.Attr("hit", entry != nullptr ? "true" : "false");
-    lookup_span.End();
-    if (entry != nullptr) {
-      double cold_ms = entry->cold_optimize_ms;
-      auto hit = CompileFromCacheEntry(*entry, std::move(stmt), tracer);
-      if (hit.ok()) {
-        counters_.cache_hits->Increment();
-        (*hit)->plan_cache_hit = true;
-        (*hit)->fingerprint = fingerprint;
-        (*hit)->canonical = std::move(canonical);
-        (*hit)->optimize_ms = MsSince(start);
-        (*hit)->optimize_saved_ms =
-            std::max(cold_ms - (*hit)->optimize_ms, 0.0);
-        return hit;
-      }
-      // Thaw/refine mismatch (should not happen; defensive): the statement
-      // was consumed, so recompile from SQL with the cache bypassed.
-      counters_.cache_misses->Increment();
-      return CompileInternal(sql, path, /*use_cache=*/false, tracer);
-    }
-    counters_.cache_misses->Increment();
-  }
-
-  auto cache_plan = [&](const BlockSkeleton& skel, FrozenBlockSkeleton frozen,
-                        bool used_orca, double cold_ms) {
-    PlanCacheEntry entry;
-    entry.fingerprint = fingerprint;
-    entry.skeleton = std::move(frozen);
-    entry.used_orca = used_orca;
-    entry.via_orca_route = used_orca;
-    entry.est_cost = skel.cost;
-    entry.est_rows = skel.out_rows;
-    entry.cold_optimize_ms = cold_ms;
-    entry.schema_version = catalog_.schema_version();
-    entry.stats_version = catalog_.stats_version();
-    entry.feedback_version = feedback_version;
-    plan_cache_.Insert(cache_key, std::move(entry));
-  };
-
-  bool try_orca = path == OptimizerPath::kOrca ||
-                  (path == OptimizerPath::kAuto &&
-                   ShouldRouteToOrca(stmt, router_config_));
-  bool quarantine_hit = false;
-  if (try_orca && quarantined) {
+bool Database::RouteCompile(CompileJob* job) {
+  bool try_orca = job->path == OptimizerPath::kOrca ||
+                  (job->path == OptimizerPath::kAuto &&
+                   ShouldRouteToOrca(job->stmt, router_config_));
+  if (try_orca && job->quarantined) {
     try_orca = false;
-    quarantine_hit = true;
+    job->stats.quarantine_hit = true;
     counters_.quarantine_hits->Increment();
   }
-  {
-    ScopedSpan route_span(tracer, "route");
-    route_span.Attr("decision", quarantine_hit ? "quarantine"
-                                : try_orca     ? "orca"
-                                               : "mysql");
-  }
+  ScopedSpan route_span(job->tracer, "route");
+  route_span.Attr("decision", job->stats.quarantine_hit ? "quarantine"
+                              : try_orca                ? "orca"
+                                                        : "mysql");
+  return try_orca;
+}
 
-  Status detour_error;  // stays OK unless the detour fails
-  if (try_orca) {
-    counters_.detours_attempted->Increment();
-    ScopedSpan detour_span(tracer, "orca.detour");
-    ResourceGovernor governor(resource_budget_);
-    OrcaPathOptimizer orca(
-        catalog_, &stmt, &mdp_, orca_config_,
-        resource_budget_.governs_optimize() ? &governor : nullptr,
-        &verify_config_, tracer, feedback.get());
-    auto orca_skel = orca.Optimize();
-    int verifier_rules = orca.verify_report().rules_checked;
-    int verifier_violations = orca.verify_report().violations();
-    if (orca_skel.ok()) {
-      // The detour proper ends here; freeze/refine/verify.block are shared
-      // post-optimization steps and trace as compile-level siblings.
-      detour_span.End();
-      std::unique_ptr<BlockSkeleton> skeleton = std::move(*orca_skel);
-      {
-        MutexLock lock(&state_mu_);
-        last_orca_metrics_ = orca.metrics();
-      }
-      // Freeze before refinement consumes the statement.
-      FrozenBlockSkeleton frozen;
-      bool cacheable = false;
-      if (use_cache) {
-        ScopedSpan freeze_span(tracer, "cache.freeze");
-        auto frozen_or = FreezeSkeleton(*skeleton);
-        if (frozen_or.ok()) {
-          frozen = std::move(*frozen_or);
-          cacheable = true;
-        }
-      }
-      auto refined = Refine(std::move(stmt), *skeleton, tracer);
-      if (refined.ok()) {
-        auto compiled = std::move(*refined);
-        compiled->used_orca = true;
-        // Post-refinement boundary: the executable block plan (B001-B003).
-        if (verify_config_.verify_plans) {
-          ScopedSpan verify_span(tracer, "verify.block");
-          VerifyReport block_report;
-          VerifyBlockPlan(*compiled, &block_report);
-          verifier_rules += block_report.rules_checked;
-          verifier_violations += block_report.violations();
-          if (verify_config_.enforce && !block_report.ok()) {
-            detour_error = block_report.ToStatus("verify.block");
-          }
-        }
-        if (detour_error.ok()) {
-          compiled->verifier_rules = verifier_rules;
-          compiled->verifier_violations = verifier_violations;
-          compiled->feedback_actual_overrides =
-              orca.metrics().feedback_actual_overrides;
-          compiled->feedback_sketch_overrides =
-              orca.metrics().feedback_sketch_overrides;
-          compiled->fingerprint = fingerprint;
-          compiled->canonical = std::move(canonical);
-          compiled->optimize_ms = MsSince(start);
-          if (cacheable) {
-            cache_plan(*skeleton, std::move(frozen), /*used_orca=*/true,
-                       compiled->optimize_ms);
-          }
-          return compiled;
-        }
-      } else {
-        detour_error = refined.status();
-      }
-    } else {
-      detour_error = orca_skel.status();
-    }
-
-    // The detour failed. Forced-Orca surfaces the error; the auto route
-    // aborts the detour and resorts to the usual MySQL optimization
-    // (Section 4.2.1).
-    counters_.detours_failed->Increment();
-    if (detour_error.code() == StatusCode::kResourceExhausted) {
-      counters_.budget_kills->Increment();
-    }
+Result<std::unique_ptr<CompiledQuery>> Database::CompileViaOrca(
+    CompileJob* job) {
+  counters_.detours_attempted->Increment();
+  ScopedSpan detour_span(job->tracer, "orca.detour");
+  ResourceGovernor governor(resource_budget_);
+  OrcaPathOptimizer orca(
+      catalog_, &job->stmt, &mdp_, orca_config_,
+      resource_budget_.governs_optimize() ? &governor : nullptr,
+      &verify_config_, job->tracer, job->feedback.get());
+  auto skeleton = orca.Optimize();
+  Status error = skeleton.status();
+  if (skeleton.ok()) {
+    // The detour proper ends here; freeze/refine/verify.block are shared
+    // post-optimization steps and trace as compile-level siblings.
     detour_span.End();
-    detour_span.Attr("aborted", "true");
-    detour_span.Attr("status", detour_error.ToString());
-    if (path == OptimizerPath::kOrca) return detour_error;
-    counters_.fallbacks->Increment();
-    fell_back = true;
-    SetLastFellBack(true);
-    if (quarantine_config_.enable) RecordDetourFailure(fingerprint);
-    // Clean fallback: the detour may have rewritten the AST (decorrelation,
-    // OR factoring) or consumed it (refinement), so re-parse and re-bind
-    // from the pristine SQL. The MySQL path then sees exactly what it would
-    // have seen without the detour — which also makes the compile cacheable.
-    ScopedSpan reparse_span(tracer, "fallback.reparse");
-    reparse_span.Attr("reason", detour_error.ToString());
-    TAURUS_ASSIGN_OR_RETURN(auto reparsed, ParseSelect(sql));
-    TAURUS_ASSIGN_OR_RETURN(stmt,
-                            BindStatement(catalog_, std::move(reparsed)));
-    TAURUS_RETURN_IF_ERROR(PrepareStatement(&stmt, prepare_options_));
+    {
+      MutexLock lock(&state_mu_);
+      last_orca_metrics_ = orca.metrics();
+    }
+    VerifyReport report = orca.verify_report();
+    auto compiled = FinishCompile(job, **skeleton, /*used_orca=*/true,
+                                  job->use_cache, &report);
+    if (compiled.ok()) {
+      (*compiled)->feedback_actual_overrides =
+          orca.metrics().feedback_actual_overrides;
+      (*compiled)->feedback_sketch_overrides =
+          orca.metrics().feedback_sketch_overrides;
+      return compiled;
+    }
+    error = compiled.status();
   }
+  counters_.detours_failed->Increment();
+  if (error.code() == StatusCode::kResourceExhausted) {
+    counters_.budget_kills->Increment();
+  }
+  detour_span.End();
+  detour_span.Attr("aborted", "true");
+  detour_span.Attr("status", error.ToString());
+  return error;
+}
 
+Status Database::FallBackToMySql(CompileJob* job, const Status& detour_error) {
+  counters_.fallbacks->Increment();
+  job->stats.fell_back = true;
+  job->stats.fallback_reason = detour_error.ToString();
+  if (quarantine_config_.enable) RecordDetourFailure(job->stats.fingerprint);
+  // Clean fallback: the detour may have rewritten the AST (decorrelation,
+  // OR factoring) or consumed it (refinement), so re-parse and re-bind
+  // from the pristine SQL. The MySQL path then sees exactly what it would
+  // have seen without the detour — which also makes the compile cacheable.
+  ScopedSpan reparse_span(job->tracer, "fallback.reparse");
+  reparse_span.Attr("reason", job->stats.fallback_reason);
+  TAURUS_ASSIGN_OR_RETURN(auto reparsed, ParseSelect(job->sql));
+  TAURUS_ASSIGN_OR_RETURN(job->stmt,
+                          BindStatement(catalog_, std::move(reparsed)));
+  return PrepareStatement(&job->stmt, prepare_options_);
+}
+
+Result<std::unique_ptr<CompiledQuery>> Database::CompileViaMySql(
+    CompileJob* job) {
   // MySQL path: direct route, quarantine skip, or clean fallback.
-  ScopedSpan mysql_span(tracer, "mysql.optimize");
-  TAURUS_ASSIGN_OR_RETURN(auto skeleton, MySqlOptimize(catalog_, &stmt));
+  ScopedSpan mysql_span(job->tracer, "mysql.optimize");
+  TAURUS_ASSIGN_OR_RETURN(auto skeleton, MySqlOptimize(catalog_, &job->stmt));
   mysql_span.End();
-
   // Counts-only on the MySQL path: it is the fallback of last resort, so
   // violations are surfaced in QueryResult/EXPLAIN but never fatal. S005
   // (CTE pairing) is skipped — the native optimizer legitimately plans
   // each CTE copy independently.
-  VerifyReport mysql_report;
+  VerifyReport report;
   if (verify_config_.verify_plans) {
-    ScopedSpan verify_span(tracer, "verify.skeleton");
+    ScopedSpan verify_span(job->tracer, "verify.skeleton");
     VerifySkeletonPlan(*skeleton, catalog_, /*check_cte_pairing=*/false,
-                       &mysql_report);
+                       &report);
   }
+  return FinishCompile(job, *skeleton, /*used_orca=*/false, job->use_cache,
+                       &report);
+}
 
-  // Freeze before refinement consumes the statement.
-  FrozenBlockSkeleton frozen;
-  bool cacheable = false;
-  if (use_cache) {
-    ScopedSpan freeze_span(tracer, "cache.freeze");
-    auto frozen_or = FreezeSkeleton(*skeleton);
-    if (frozen_or.ok()) {
-      frozen = std::move(*frozen_or);
-      cacheable = true;
+Result<std::unique_ptr<CompiledQuery>> Database::FinishCompile(
+    CompileJob* job, const BlockSkeleton& skeleton, bool used_orca,
+    bool cache_plan, VerifyReport* report) {
+  // Freeze before refinement consumes the statement. A skeleton that does
+  // not freeze is simply not cached.
+  std::optional<FrozenBlockSkeleton> frozen;
+  if (cache_plan) {
+    ScopedSpan freeze_span(job->tracer, "cache.freeze");
+    auto frozen_or = FreezeSkeleton(skeleton);
+    if (frozen_or.ok()) frozen = std::move(*frozen_or);
+  }
+  ScopedSpan refine_span(job->tracer, "refine");
+  TAURUS_ASSIGN_OR_RETURN(
+      auto compiled, RefinePlan(std::move(job->stmt), skeleton, catalog_));
+  refine_span.End();
+  counters_.access_downgrades->Increment(compiled->access_downgrades);
+  // Post-refinement boundary: the executable block plan (B001-B003).
+  if (verify_config_.verify_plans) {
+    ScopedSpan verify_span(job->tracer, "verify.block");
+    VerifyBlockPlan(*compiled, report);
+    if (verify_config_.enforce && used_orca && !report->ok()) {
+      return report->ToStatus("verify.block");
     }
   }
-
-  TAURUS_ASSIGN_OR_RETURN(auto compiled,
-                          Refine(std::move(stmt), *skeleton, tracer));
-  if (verify_config_.verify_plans) {
-    ScopedSpan verify_span(tracer, "verify.block");
-    VerifyBlockPlan(*compiled, &mysql_report);
-  }
-  compiled->verifier_rules = mysql_report.rules_checked;
-  compiled->verifier_violations = mysql_report.violations();
-  compiled->fell_back = fell_back;
-  if (!detour_error.ok()) compiled->fallback_reason = detour_error.ToString();
-  compiled->quarantine_hit = quarantine_hit;
-  compiled->fingerprint = fingerprint;
-  compiled->canonical = std::move(canonical);
-  compiled->optimize_ms = MsSince(start);
-
-  if (cacheable) {
-    cache_plan(*skeleton, std::move(frozen), /*used_orca=*/false,
-               compiled->optimize_ms);
+  CompileStats& stats = *compiled;
+  const int access_downgrades = stats.access_downgrades;
+  stats = std::move(job->stats);
+  stats.access_downgrades = access_downgrades;
+  stats.used_orca = used_orca;
+  stats.verifier_rules = report->rules_checked;
+  stats.verifier_violations = report->violations();
+  stats.optimize_ms = MsSince(job->start);
+  if (frozen.has_value()) {
+    PlanCacheEntry entry;
+    entry.fingerprint = stats.fingerprint;
+    entry.skeleton = std::move(*frozen);
+    entry.used_orca = used_orca;
+    entry.via_orca_route = used_orca;
+    entry.est_cost = skeleton.cost;
+    entry.est_rows = skeleton.out_rows;
+    entry.cold_optimize_ms = stats.optimize_ms;
+    entry.schema_version = catalog_.schema_version();
+    entry.stats_version = catalog_.stats_version();
+    entry.feedback_version = job->feedback_version;
+    plan_cache_.Insert(job->cache_key, std::move(entry));
   }
   return compiled;
 }
@@ -827,110 +768,46 @@ Result<QueryResult> Database::Query(const std::string& sql,
 Result<QueryResult> Database::QueryInternal(
     const std::string& sql, OptimizerPath path, const QueryOptions& options,
     OpActualsMap* actuals, std::unique_ptr<CompiledQuery>* compiled_out) {
-  // Split so introspection covers every exit path: QueryPipeline deposits
-  // facts into `obs` as it learns them, and the recording below runs for
-  // successes, compile errors and budget kills alike.
-  QueryObs obs;
-  Result<QueryResult> result =
-      QueryPipeline(sql, path, options, actuals, compiled_out, &obs);
-  uint64_t seq = RecordQueryObservability(options, result, &obs);
-  if (result.ok()) (*result).flight_seq = seq;
-  return result;
+  QueryResult out;
+  std::shared_ptr<Tracer> tracer = BeginTrace(options);
+  Status status =
+      RunQuery(sql, path, options, actuals, tracer.get(), &out, compiled_out);
+  // Fold the session layer's admission outcome into the record so every
+  // consumer (client, digest store, flight recorder) sees one story.
+  out.shed = options.shed;
+  out.admission_queued = options.admission_queued;
+  out.admission_wait_ms = options.admission_wait_ms;
+  out.profile.admission_wait_ms = options.admission_wait_ms;
+  if (options.shed) {
+    out.fell_back = true;
+    out.fallback_reason =
+        Status::ResourceExhausted("admission overload: shed to MySQL path (" +
+                                  options.shed_cause + ")")
+            .SetOrigin("server.admission", "shed")
+            .ToString();
+  }
+  RecordQuery(&out, status, tracer, options.session_id);
+  if (!status.ok()) return status;
+  return out;
 }
 
-Result<QueryResult> Database::QueryPipeline(
-    const std::string& sql, OptimizerPath path, const QueryOptions& options,
-    OpActualsMap* actuals, std::unique_ptr<CompiledQuery>* compiled_out,
-    QueryObs* obs) {
-  counters_.queries->Increment();
-  std::shared_ptr<Tracer> tracer_owner = BeginTrace(options);
-  Tracer* tracer = tracer_owner.get();
-  obs->tracer = tracer_owner;
+Status Database::RunQuery(const std::string& sql, OptimizerPath path,
+                          const QueryOptions& options, OpActualsMap* actuals,
+                          Tracer* tracer, QueryResult* out,
+                          std::unique_ptr<CompiledQuery>* compiled_out) {
   ScopedSpan query_span(tracer, "query");
   ScopedSpan compile_span(tracer, "compile");
-  auto compiled_or =
-      CompileInternal(sql, path, plan_cache_config_.enable, tracer);
+  TAURUS_ASSIGN_OR_RETURN(
+      std::unique_ptr<CompiledQuery> compiled,
+      CompileInternal(sql, path, plan_cache_config_.enable, tracer, out));
   compile_span.End();
-  if (!compiled_or.ok()) {
-    counters_.query_errors->Increment();
-    return compiled_or.status();
-  }
-  auto compiled = std::move(*compiled_or);
-  obs->fingerprint = compiled->fingerprint;
-  obs->canonical = compiled->canonical;
-  obs->used_orca = compiled->used_orca;
-  obs->fell_back = compiled->fell_back;
-  obs->quarantine_hit = compiled->quarantine_hit;
-  obs->plan_cache_hit = compiled->plan_cache_hit;
-  obs->optimize_ms = compiled->optimize_ms;
-  counters_.optimize_ms->Record(compiled->optimize_ms);
-  QueryResult out;
-  out.columns = compiled->root->column_names;
-  out.used_orca = compiled->used_orca;
-  out.optimize_ms = compiled->optimize_ms;
-  out.plan_cache_hit = compiled->plan_cache_hit;
-  out.optimize_saved_ms = compiled->optimize_saved_ms;
-  out.fell_back = compiled->fell_back;
-  out.fallback_reason = compiled->fallback_reason;
-  out.quarantine_hit = compiled->quarantine_hit;
-  out.verifier_rules = compiled->verifier_rules;
-  out.verifier_violations = compiled->verifier_violations;
-
-  const Clock* analyze_clock =
-      trace_config_.clock != nullptr ? trace_config_.clock
-                                     : &SteadyClock::Instance();
-  auto start = std::chrono::steady_clock::now();
-  ExecContext ctx;
-  ArmExecContext(&ctx, compiled->used_orca, options.worker_cap);
-  if (exec_config_.enable_profiling) {
-    // Per-worker morsel timing lands in obs->profile; the parallel
-    // executor's workers stamp private slots and merge on the main thread.
-    obs->profile.enabled = true;
-    ctx.exec_profile = &obs->profile;
-    ctx.profile_clock = analyze_clock;
-  }
-  if (actuals != nullptr) {
-    ctx.op_actuals = actuals;
-    ctx.analyze_clock = analyze_clock;
-  }
-  // Cardinality-feedback harvest (DESIGN.md section 11): record per-node
-  // actuals — reusing the caller's map when EXPLAIN ANALYZE already asked
-  // for them — and stream hash-join keys into Fast-AGMS sketches.
-  bool harvest = feedback_config_.enable && compiled->fingerprint != 0;
-  OpActualsMap harvest_actuals;
-  std::unique_ptr<SketchSet> sketch_set;
-  if (harvest) {
-    if (ctx.op_actuals == nullptr) {
-      ctx.op_actuals = &harvest_actuals;
-      ctx.analyze_clock = analyze_clock;
-    }
-    if (feedback_config_.sketches) {
-      sketch_set = std::make_unique<SketchSet>(feedback_config_.sketch_depth,
-                                               feedback_config_.sketch_width);
-      ctx.sketches = sketch_set.get();
-    }
-  }
-  if (verify_config_.verify_plans) {
-    // B004 — budget hooks present on the armed execution context.
-    VerifyReport arm_report;
-    VerifyExecBudgetArming(compiled->used_orca,
-                           resource_budget_.governs_exec(), ctx, &arm_report);
-    out.verifier_rules += arm_report.rules_checked;
-    out.verifier_violations += arm_report.violations();
-  }
-  ExecContext* final_ctx = &ctx;
-  ScopedSpan exec_span(tracer, "execute");
-  auto rows = ExecuteQuery(compiled.get(), storage_, &ctx);
-  exec_span.End();
-  int final_exec_id = exec_span.id();
-  ExecContext retry_ctx;  // ExecContext is non-copyable (shared atomic
-                          // budget counter), so the fallback re-execution
-                          // gets its own context.
+  static_cast<CompileStats&>(*out) = *compiled;
+  out->columns = compiled->root->column_names;
+  auto rows = ExecuteOnce(compiled.get(), options, actuals, tracer,
+                          /*retry=*/false, out);
   if (!rows.ok()) {
-    bool budget_kill = compiled->used_orca &&
-                       rows.status().code() == StatusCode::kResourceExhausted;
-    if (!budget_kill || path != OptimizerPath::kAuto) {
-      counters_.query_errors->Increment();
+    if (!compiled->used_orca || path != OptimizerPath::kAuto ||
+        rows.status().code() != StatusCode::kResourceExhausted) {
       return rows.status();
     }
     // The executor budget killed an Orca plan mid-execution on the auto
@@ -940,233 +817,175 @@ Result<QueryResult> Database::QueryPipeline(
     if (quarantine_config_.enable && compiled->fingerprint != 0) {
       RecordDetourFailure(compiled->fingerprint);
     }
-    Status kill = rows.status();
-    exec_span.Attr("aborted", "true");
-    exec_span.Attr("status", kill.ToString());
     ScopedSpan recompile_span(tracer, "fallback.recompile");
-    auto retry_or = CompileInternal(sql, OptimizerPath::kMySql,
-                                    plan_cache_config_.enable, tracer);
+    TAURUS_ASSIGN_OR_RETURN(
+        compiled, CompileInternal(sql, OptimizerPath::kMySql,
+                                  plan_cache_config_.enable, tracer,
+                                  /*failure_facts=*/nullptr));
     recompile_span.End();
-    if (!retry_or.ok()) {
-      counters_.query_errors->Increment();
-      return retry_or.status();
-    }
-    compiled = std::move(*retry_or);
-    out.used_orca = false;
-    out.fell_back = true;
-    out.fallback_reason = kill.ToString();
-    out.plan_cache_hit = compiled->plan_cache_hit;
-    out.optimize_ms += compiled->optimize_ms;
-    out.verifier_rules += compiled->verifier_rules;
-    out.verifier_violations += compiled->verifier_violations;
-    obs->used_orca = false;
-    obs->fell_back = true;
-    obs->plan_cache_hit = compiled->plan_cache_hit;
-    obs->optimize_ms = out.optimize_ms;
-    ArmExecContext(&retry_ctx, /*used_orca=*/false, options.worker_cap);
-    if (exec_config_.enable_profiling) {
-      retry_ctx.exec_profile = &obs->profile;
-      retry_ctx.profile_clock = analyze_clock;
-    }
-    if (actuals != nullptr) {
-      actuals->clear();  // the aborted run's partial actuals are stale
-      retry_ctx.op_actuals = actuals;
-      retry_ctx.analyze_clock = analyze_clock;
-    }
-    harvest = feedback_config_.enable && compiled->fingerprint != 0;
-    if (harvest) {
-      if (retry_ctx.op_actuals == nullptr) {
-        harvest_actuals.clear();  // the aborted run's partials are stale
-        retry_ctx.op_actuals = &harvest_actuals;
-        retry_ctx.analyze_clock = analyze_clock;
-      }
-      if (feedback_config_.sketches) {
-        // Fresh sketch set: the killed run's streams are partial.
-        sketch_set = std::make_unique<SketchSet>(
-            feedback_config_.sketch_depth, feedback_config_.sketch_width);
-        retry_ctx.sketches = sketch_set.get();
-      }
-    }
-    if (verify_config_.verify_plans) {
-      VerifyReport arm_report;
-      VerifyExecBudgetArming(/*used_orca=*/false,
-                             resource_budget_.governs_exec(), retry_ctx,
-                             &arm_report);
-      out.verifier_rules += arm_report.rules_checked;
-      out.verifier_violations += arm_report.violations();
-    }
-    ScopedSpan retry_span(tracer, "execute");
-    retry_span.Attr("retry", "true");
-    rows = ExecuteQuery(compiled.get(), storage_, &retry_ctx);
-    retry_span.End();
-    final_exec_id = retry_span.id();
-    final_ctx = &retry_ctx;
-    if (!rows.ok()) {
-      counters_.query_errors->Increment();
-      return rows.status();
-    }
+    // The record takes the retry compile's facts; optimize time and
+    // verifier counts cover both compiles.
+    const CompileStats first = *out;
+    static_cast<CompileStats&>(*out) = *compiled;
+    out->optimize_ms += first.optimize_ms;
+    out->verifier_rules += first.verifier_rules;
+    out->verifier_violations += first.verifier_violations;
+    out->fell_back = true;
+    out->fallback_reason = rows.status().ToString();
+    rows = ExecuteOnce(compiled.get(), options, actuals, tracer,
+                       /*retry=*/true, out);
+    TAURUS_RETURN_IF_ERROR(rows.status());
   }
-  out.rows = std::move(*rows);
-  out.execute_ms = MsSince(start);
-  out.rows_scanned = final_ctx->rows_scanned;
-  out.index_lookups = final_ctx->index_lookups;
-  out.rebinds = final_ctx->rebinds;
-  out.parallel_workers_used = final_ctx->max_workers_used;
-  out.parallel_pipelines = final_ctx->parallel_pipelines;
-  out.batch_pipelines = final_ctx->batch_pipelines;
-  out.batches = final_ctx->batches;
-  out.batch_rows = final_ctx->batch_rows;
+  out->rows = std::move(*rows);
+  out->rows_returned = static_cast<int64_t>(out->rows.size());
+  if (compiled_out != nullptr) *compiled_out = std::move(compiled);
+  return Status::OK();
+}
 
-  counters_.execute_ms->Record(out.execute_ms);
-  counters_.exec_rows_scanned->Increment(out.rows_scanned);
-  counters_.exec_index_lookups->Increment(out.index_lookups);
-  if (out.verifier_rules > 0) {
-    counters_.verifier_rules->Increment(out.verifier_rules);
+Result<std::vector<Row>> Database::ExecuteOnce(CompiledQuery* compiled,
+                                               const QueryOptions& options,
+                                               OpActualsMap* actuals,
+                                               Tracer* tracer, bool retry,
+                                               QueryStats* stats) {
+  auto start = std::chrono::steady_clock::now();
+  const Clock* analyze_clock =
+      trace_config_.clock != nullptr ? trace_config_.clock
+                                     : &SteadyClock::Instance();
+  ExecContext ctx;
+  ArmExecContext(&ctx, compiled->used_orca, options.worker_cap);
+  if (exec_config_.enable_profiling) {
+    // Per-worker morsel timing lands in stats->profile; the parallel
+    // executor's workers stamp private slots and merge on the main thread.
+    stats->profile.enabled = true;
+    ctx.exec_profile = &stats->profile;
+    ctx.profile_clock = analyze_clock;
   }
-  if (out.verifier_violations > 0) {
-    counters_.verifier_violations->Increment(out.verifier_violations);
+  // Cardinality-feedback harvest (DESIGN.md section 11): record per-node
+  // actuals — reusing the caller's map when EXPLAIN ANALYZE already asked
+  // for them — and stream hash-join keys into Fast-AGMS sketches. Every
+  // run starts clean: a killed run's partial actuals and streams are stale.
+  const bool harvest = feedback_config_.enable && compiled->fingerprint != 0;
+  OpActualsMap harvest_actuals;
+  if (actuals != nullptr) actuals->clear();
+  ctx.op_actuals = actuals != nullptr ? actuals
+                   : harvest          ? &harvest_actuals
+                                      : nullptr;
+  if (ctx.op_actuals != nullptr) ctx.analyze_clock = analyze_clock;
+  std::unique_ptr<SketchSet> sketch_set;
+  if (harvest && feedback_config_.sketches) {
+    sketch_set = std::make_unique<SketchSet>(feedback_config_.sketch_depth,
+                                             feedback_config_.sketch_width);
+    ctx.sketches = sketch_set.get();
   }
-  if (out.parallel_pipelines > 0) {
-    counters_.parallel_queries->Increment();
-    counters_.parallel_pipelines->Increment(out.parallel_pipelines);
+  if (verify_config_.verify_plans) {
+    // B004 — budget hooks present on the armed execution context.
+    VerifyReport arm_report;
+    VerifyExecBudgetArming(compiled->used_orca,
+                           resource_budget_.governs_exec(), ctx, &arm_report);
+    stats->verifier_rules += arm_report.rules_checked;
+    stats->verifier_violations += arm_report.violations();
   }
-  if (out.batch_pipelines > 0) {
-    counters_.batch_pipelines->Increment(out.batch_pipelines);
-    counters_.batches->Increment(out.batches);
-    counters_.batch_rows->Increment(out.batch_rows);
+  ScopedSpan exec_span(tracer, "execute");
+  if (retry) exec_span.Attr("retry", "true");
+  auto rows = ExecuteQuery(compiled, storage_, &ctx);
+  exec_span.End();
+  stats->execute_ms += MsSince(start);
+  if (!rows.ok()) {
+    exec_span.Attr("aborted", "true");
+    exec_span.Attr("status", rows.status().ToString());
+    return rows;
   }
-  out.feedback_actual_overrides = compiled->feedback_actual_overrides;
-  out.feedback_sketch_overrides = compiled->feedback_sketch_overrides;
-  if (out.feedback_actual_overrides > 0) {
-    counters_.feedback_actual_overrides->Increment(
-        out.feedback_actual_overrides);
-  }
-  if (out.feedback_sketch_overrides > 0) {
-    counters_.feedback_sketch_overrides->Increment(
-        out.feedback_sketch_overrides);
-  }
+  stats->rows_scanned = ctx.rows_scanned;
+  stats->index_lookups = ctx.index_lookups;
+  stats->rebinds = ctx.rebinds;
+  stats->parallel_workers_used = ctx.max_workers_used;
+  stats->parallel_pipelines = ctx.parallel_pipelines;
+  stats->batch_pipelines = ctx.batch_pipelines;
+  stats->batches = ctx.batches;
+  stats->batch_rows = ctx.batch_rows;
+  exec_span.Attr("workers", std::to_string(stats->parallel_workers_used));
+  exec_span.Attr("pipelines", std::to_string(stats->parallel_pipelines));
+  exec_span.Attr("batch_pipelines", std::to_string(stats->batch_pipelines));
   if (harvest && !IsQuarantined(compiled->fingerprint)) {
     FeedbackSample sample;
-    if (final_ctx->op_actuals != nullptr) {
-      HarvestFeedbackSample(*compiled->root, *final_ctx->op_actuals, &sample);
+    if (ctx.op_actuals != nullptr) {
+      HarvestFeedbackSample(*compiled->root, *ctx.op_actuals, &sample);
     }
     if (sketch_set != nullptr) sample.sketches = sketch_set->TakeValid();
     HarvestResult hr = feedback_store_.Harvest(
         compiled->fingerprint, std::move(sample),
         feedback_config_.qerror_invalidation_threshold,
         catalog_.schema_version(), catalog_.stats_version());
-    out.feedback_harvested = hr.stored;
-    out.feedback_version_bumped = hr.version_bumped;
-    out.feedback_max_q_error = hr.max_q_error;
-    if (hr.stored) counters_.feedback_harvests->Increment();
-    if (hr.version_bumped) counters_.feedback_drift_bumps->Increment();
+    stats->feedback_harvested = hr.stored;
+    stats->feedback_version_bumped = hr.version_bumped;
+    stats->feedback_max_q_error = hr.max_q_error;
   }
-  if (tracer != nullptr) {
-    tracer->SetAttr(final_exec_id, "workers",
-                    std::to_string(out.parallel_workers_used));
-    tracer->SetAttr(final_exec_id, "pipelines",
-                    std::to_string(out.parallel_pipelines));
-    tracer->SetAttr(final_exec_id, "batch_pipelines",
-                    std::to_string(out.batch_pipelines));
-  }
-  obs->profile.admission_wait_ms = options.admission_wait_ms;
-  out.profile = obs->profile;
-  // Fold the session layer's admission outcome into the result so every
-  // consumer (client, digest store, flight recorder) sees one story.
-  out.shed = options.shed;
-  out.admission_queued = options.admission_queued;
-  out.admission_wait_ms = options.admission_wait_ms;
-  if (options.shed) {
-    out.fell_back = true;
-    out.fallback_reason =
-        Status::ResourceExhausted("admission overload: shed to MySQL path (" +
-                                  options.shed_cause + ")")
-            .SetOrigin("server.admission", "shed")
-            .ToString();
-  }
-  if (compiled_out != nullptr) *compiled_out = std::move(compiled);
-  return out;
+  return rows;
 }
 
-uint64_t Database::RecordQueryObservability(const QueryOptions& options,
-                                            const Result<QueryResult>& result,
-                                            QueryObs* obs) {
-  obs->profile.admission_wait_ms = options.admission_wait_ms;
-  const bool ok = result.ok();
-  const QueryResult* r = ok ? &*result : nullptr;
-  // Success reads the result (which already folded retries and the shed
-  // story in); failures fall back to whatever QueryPipeline learned before
-  // the error.
-  const bool used_orca = r != nullptr ? r->used_orca : obs->used_orca;
-  const bool fell_back =
-      (r != nullptr ? r->fell_back : obs->fell_back) || options.shed;
-  const bool quarantine_hit =
-      r != nullptr ? r->quarantine_hit : obs->quarantine_hit;
-  const bool plan_cache_hit =
-      r != nullptr ? r->plan_cache_hit : obs->plan_cache_hit;
-  const double optimize_ms = r != nullptr ? r->optimize_ms : obs->optimize_ms;
-  const double execute_ms = r != nullptr ? r->execute_ms : 0.0;
-  double total_ms = optimize_ms + execute_ms;
-  if (obs->tracer != nullptr) {
-    const TraceSpan* root = obs->tracer->Find("query");
-    if (root != nullptr && root->ended) total_ms = root->duration_ms();
+void Database::RecordQuery(QueryStats* stats, const Status& status,
+                           const std::shared_ptr<Tracer>& tracer,
+                           uint64_t session_id) {
+  stats->total_ms = stats->optimize_ms + stats->execute_ms;
+  if (tracer != nullptr) {
+    const TraceSpan* root = tracer->Find("query");
+    if (root != nullptr && root->ended) stats->total_ms = root->duration_ms();
   }
-
-  if (digest_config_.enable) {
-    DigestSample sample;
-    sample.fingerprint = obs->fingerprint;  // 0: failed before fingerprinting
-    sample.canonical = &obs->canonical;
-    sample.used_orca = used_orca;
-    sample.error = !ok;
-    sample.shed = options.shed;
-    sample.fell_back = fell_back;
-    sample.quarantine_hit = quarantine_hit;
-    sample.plan_cache_hit = plan_cache_hit;
-    sample.verifier_violations = r != nullptr ? r->verifier_violations : 0;
-    sample.rows_returned =
-        r != nullptr ? static_cast<int64_t>(r->rows.size()) : 0;
-    sample.latency_ms = total_ms;
-    digest_store_.Record(sample);
+  // Per-query counters fold successful queries, so they reconcile exactly
+  // with the records returned to clients.
+  counters_.queries->Increment();
+  if (!status.ok()) {
+    counters_.query_errors->Increment();
+  } else {
+    counters_.optimize_ms->Record(stats->optimize_ms);
+    counters_.execute_ms->Record(stats->execute_ms);
+    counters_.exec_rows_scanned->Increment(stats->rows_scanned);
+    counters_.exec_index_lookups->Increment(stats->index_lookups);
+    counters_.verifier_rules->Increment(stats->verifier_rules);
+    counters_.verifier_violations->Increment(stats->verifier_violations);
+    if (stats->parallel_pipelines > 0) counters_.parallel_queries->Increment();
+    counters_.parallel_pipelines->Increment(stats->parallel_pipelines);
+    if (stats->batch_pipelines > 0) {
+      counters_.batch_pipelines->Increment(stats->batch_pipelines);
+      counters_.batches->Increment(stats->batches);
+      counters_.batch_rows->Increment(stats->batch_rows);
+    }
+    counters_.feedback_actual_overrides->Increment(
+        stats->feedback_actual_overrides);
+    counters_.feedback_sketch_overrides->Increment(
+        stats->feedback_sketch_overrides);
+    if (stats->feedback_harvested) counters_.feedback_harvests->Increment();
+    if (stats->feedback_version_bumped) {
+      counters_.feedback_drift_bumps->Increment();
+    }
   }
-
-  if (obs->profile.enabled && obs->profile.pipelines > 0) {
-    counters_.profile_pipelines->Increment(obs->profile.pipelines);
-    counters_.profile_morsels->Increment(obs->profile.morsels());
-    counters_.profile_last_busy_ms->Set(obs->profile.busy_ms());
-    counters_.profile_last_idle_ms->Set(obs->profile.idle_ms());
+  const ExecProfile& profile = stats->profile;
+  if (profile.enabled && profile.pipelines > 0) {
+    counters_.profile_pipelines->Increment(profile.pipelines);
+    counters_.profile_morsels->Increment(profile.morsels());
+    counters_.profile_last_busy_ms->Set(profile.busy_ms());
+    counters_.profile_last_idle_ms->Set(profile.idle_ms());
     counters_.profile_last_workers->Set(
-        static_cast<double>(obs->profile.workers.size()));
+        static_cast<double>(profile.workers.size()));
   }
+  digest_store_.Record(*stats, !status.ok());
 
-  if (!flight_config_.enable) return 0;
+  if (!flight_config_.enable) return;
   FlightRecord rec;
-  rec.fingerprint = obs->fingerprint;
-  rec.session_id = options.session_id;
-  rec.status = ok ? "ok" : result.status().ToString();
-  rec.error = !ok;
-  rec.admission = options.shed              ? "shed"
-                  : options.admission_queued ? "queued"
-                                             : "direct";
-  rec.admission_wait_ms = options.admission_wait_ms;
-  rec.used_orca = used_orca;
-  rec.fell_back = fell_back;
-  rec.shed = options.shed;
-  rec.quarantine_hit = quarantine_hit;
-  rec.plan_cache_hit = plan_cache_hit;
-  rec.optimize_ms = optimize_ms;
-  rec.execute_ms = execute_ms;
-  rec.total_ms = total_ms;
-  rec.rows_returned = r != nullptr ? static_cast<int64_t>(r->rows.size()) : 0;
-  rec.workers = r != nullptr ? r->parallel_workers_used : 1;
-  rec.batches = r != nullptr ? r->batches : 0;
-  rec.profile = obs->profile;
+  static_cast<QueryStats&>(rec) = *stats;
+  rec.session_id = session_id;
+  rec.status = status.ok() ? "ok" : status.ToString();
+  rec.admission = stats->shed              ? "shed"
+                  : stats->admission_queued ? "queued"
+                                            : "direct";
   // Post-mortem pinning: aborted / shed / fallen-back / quarantined queries
   // keep their full span tree alive in the ring slot, surviving after
   // last_trace() (and per-session slots) get overwritten.
-  if (rec.error || rec.shed || rec.fell_back || rec.quarantine_hit) {
-    rec.pinned_trace = obs->tracer;
+  if (!status.ok() || stats->shed || stats->fell_back ||
+      stats->quarantine_hit) {
+    rec.pinned_trace = tracer;
   }
-  return flight_recorder_.Record(std::move(rec));
+  stats->flight_seq = flight_recorder_.Record(std::move(rec));
 }
 
 Result<QueryResult> Database::ShowDigests(const std::string& pattern) {
@@ -1230,7 +1049,7 @@ Result<QueryResult> Database::ShowFlightRecorder() {
     row.push_back(Value::Double(e.optimize_ms));
     row.push_back(Value::Double(e.execute_ms));
     row.push_back(Value::Double(e.total_ms));
-    row.push_back(Value::Int(e.workers));
+    row.push_back(Value::Int(e.parallel_workers_used));
     row.push_back(Value::Int(e.batches));
     row.push_back(Value::Str(e.pinned_trace != nullptr
                                  ? e.pinned_trace->TreeString()
@@ -1374,7 +1193,7 @@ std::string Database::FlightRecorderJson() {
     out += "\",\"status\":\"";
     out += JsonEscape(e.status);
     out += "\",\"error\":";
-    AppendJsonBool(&out, e.error);
+    AppendJsonBool(&out, e.error());
     out += ",\"admission\":\"";
     out += JsonEscape(e.admission);
     out += "\",\"wait_ms\":";
@@ -1398,7 +1217,7 @@ std::string Database::FlightRecorderJson() {
     out += ",\"rows\":";
     out += std::to_string(e.rows_returned);
     out += ",\"workers\":";
-    out += std::to_string(e.workers);
+    out += std::to_string(e.parallel_workers_used);
     out += ",\"batches\":";
     out += std::to_string(e.batches);
     out += ",\"profiled\":";

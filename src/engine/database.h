@@ -1,6 +1,7 @@
 #ifndef TAURUS_ENGINE_DATABASE_H_
 #define TAURUS_ENGINE_DATABASE_H_
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -28,6 +29,7 @@
 #include "obs/digest_store.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "obs/query_stats.h"
 #include "obs/trace.h"
 #include "orca/orca.h"
 #include "storage/storage.h"
@@ -41,73 +43,11 @@ enum class OptimizerPath {
   kOrca,   ///< force the Orca detour (no threshold check)
 };
 
-/// Result of one query execution, with compile/execute instrumentation.
-struct QueryResult {
+/// Result of one query execution: the rows plus the query's record
+/// (QueryStats: compile, execute and admission facts).
+struct QueryResult : QueryStats {
   std::vector<std::string> columns;
   std::vector<Row> rows;
-  bool used_orca = false;
-  double optimize_ms = 0.0;
-  double execute_ms = 0.0;
-  int64_t rows_scanned = 0;
-  int64_t index_lookups = 0;
-  int64_t rebinds = 0;
-  /// True when the skeleton plan came from the engine's plan cache.
-  bool plan_cache_hit = false;
-  /// Optimizer time avoided by the cache hit (cold compile time minus this
-  /// compile's); 0 on misses.
-  double optimize_saved_ms = 0.0;
-  /// True when the Orca detour failed (at compile or under the executor
-  /// budget) and the query was served by the MySQL path instead.
-  bool fell_back = false;
-  /// The detour failure behind `fell_back` ("" otherwise).
-  std::string fallback_reason;
-  /// True when the detour was skipped because the statement is quarantined.
-  bool quarantine_hit = false;
-  /// Widest worker count any pipeline of this query actually used
-  /// (1 = everything ran serial).
-  int parallel_workers_used = 1;
-  /// How many pipelines ran through the morsel-driven parallel executor.
-  int parallel_pipelines = 0;
-  /// How many pipelines (or grafted pipeline segments) ran vectorized
-  /// through the batch executor (DESIGN.md section 13).
-  int batch_pipelines = 0;
-  /// Batches emitted / selected rows carried by those batches.
-  int64_t batches = 0;
-  int64_t batch_rows = 0;
-  /// Plan-verifier summary: rule evaluations across every boundary verifier
-  /// that ran for this query (compile-time passes plus the exec-budget
-  /// arming check), and how many fired.
-  int verifier_rules = 0;
-  int verifier_violations = 0;
-  /// True when this execution's actuals were folded into the feedback store
-  /// (feedback enabled, fingerprinted, not quarantined).
-  bool feedback_harvested = false;
-  /// True when the harvest bumped the fingerprint's drift version — its
-  /// cached skeleton will be evicted and re-optimized with actuals.
-  bool feedback_version_bumped = false;
-  /// Max q-error observed across this execution's harvested nodes (1.0
-  /// when nothing was harvested).
-  double feedback_max_q_error = 1.0;
-  /// Optimizer cardinalities served from harvested actuals / sketches
-  /// during this query's compile (0 on cache hits and the MySQL path).
-  int64_t feedback_actual_overrides = 0;
-  int64_t feedback_sketch_overrides = 0;
-  /// --- Session/admission state (set by the src/server/ layer; always
-  /// default for queries issued directly against the Database) ---
-  /// True when the admission controller shed this query onto the cheap
-  /// MySQL path under overload (DESIGN.md section 12).
-  bool shed = false;
-  /// True when the query waited in the admission queue before running.
-  bool admission_queued = false;
-  /// Wall time spent waiting for admission.
-  double admission_wait_ms = 0.0;
-  /// --- Workload introspection (DESIGN.md section 15) ---
-  /// Per-worker morsel timing (busy/idle/morsels, batch vs Volcano rows);
-  /// enabled iff ExecutorConfig::enable_profiling.
-  ExecProfile profile;
-  /// This query's flight-recorder event id (0 when the recorder is off);
-  /// SHOW PROFILE FOR <flight_seq> replays the profile later.
-  uint64_t flight_seq = 0;
 };
 
 /// Per-query overrides supplied by the session layer (src/server/). Plain
@@ -129,7 +69,7 @@ struct QueryOptions {
   /// Issuing session id (0 = no session).
   uint64_t session_id = 0;
   /// The admission controller shed this query onto the MySQL path; the
-  /// engine folds this into QueryResult::shed / fell_back / fallback_reason.
+  /// engine folds this into QueryStats::shed / fell_back / fallback_reason.
   bool shed = false;
   /// What tripped the shed ("" when !shed), e.g. "queue_full".
   std::string shed_cause;
@@ -157,7 +97,7 @@ struct ExecutorConfig {
   int64_t batch_size = 1024;
 
   /// Per-worker morsel timing (busy/idle, morsels claimed, batch vs
-  /// Volcano rows) folded into QueryResult::profile and the
+  /// Volcano rows) folded into QueryStats::profile and the
   /// taurus.exec.profile.* gauges (DESIGN.md section 15). Two clock reads
   /// per morsel when on; off skips all bookkeeping.
   bool enable_profiling = true;
@@ -170,20 +110,6 @@ struct ExecutorConfig {
 struct QuarantineConfig {
   bool enable = true;
   int failure_threshold = 3;
-};
-
-/// Snapshot of the fault-containment counters (degradation observability):
-/// how often the detour runs, fails, gets budget-killed, or is skipped.
-/// The live counters are the atomic `taurus.health.*` entries of the
-/// engine's metrics registry; this struct is a point-in-time copy read via
-/// Database::optimizer_health().
-struct OptimizerHealth {
-  int64_t detours_attempted = 0;  ///< compiles that entered the Orca detour
-  int64_t detours_failed = 0;     ///< detours that errored (any cause)
-  int64_t fallbacks = 0;          ///< auto-route recoveries via the MySQL path
-  int64_t budget_kills = 0;       ///< detours killed by the optimize budget
-  int64_t exec_budget_kills = 0;  ///< Orca plans killed mid-execution
-  int64_t quarantine_hits = 0;    ///< compiles that skipped Orca (quarantine)
 };
 
 /// Per-query pipeline tracing knobs. Off by default: the tracer is only
@@ -318,12 +244,6 @@ class Database {
     MutexLock lock(&state_mu_);
     return last_tracer_.get();
   }
-  /// Shared handle to the same trace (does not dangle when another session
-  /// publishes a newer one).
-  std::shared_ptr<const Tracer> last_trace_shared() const {
-    MutexLock lock(&state_mu_);
-    return last_tracer_;
-  }
 
   /// The skeleton-plan cache (exposed for stats, Clear() and capacity
   /// tuning in tests and benches).
@@ -359,17 +279,6 @@ class Database {
     MutexLock lock(&state_mu_);
     return last_orca_metrics_;
   }
-  /// True when the most recent kAuto/kOrca compile fell back to MySQL
-  /// (most-recent view; concurrent sessions read QueryResult::fell_back).
-  bool last_compile_fell_back() const {
-    MutexLock lock(&state_mu_);
-    return last_fell_back_;
-  }
-
-  /// Snapshot of the fault-containment counters since construction (or the
-  /// last reset), read from the `taurus.health.*` registry counters.
-  OptimizerHealth optimizer_health() const;
-  void ResetOptimizerHealth();
 
   /// True when `fingerprint_hash` has reached the quarantine threshold and
   /// the catalog versions have not moved since.
@@ -381,60 +290,110 @@ class Database {
   const QuarantineTable& quarantine_table() const { return quarantine_; }
 
  private:
-  /// Compile with the cache consulted (or bypassed, for the recovery path
-  /// after a thaw mismatch). `tracer` may be null (tracing disabled).
-  Result<std::unique_ptr<CompiledQuery>> CompileInternal(
-      const std::string& sql, OptimizerPath path, bool use_cache,
-      Tracer* tracer);
-
-  /// Plan refinement (under a "refine" span) that counts the index
-  /// accesses it had to downgrade in taurus.refine.access_downgrades.
-  Result<std::unique_ptr<CompiledQuery>> Refine(BoundStatement stmt,
-                                                const BlockSkeleton& skeleton,
-                                                Tracer* tracer);
-
-  /// Replays the route's deterministic AST rewrites onto a freshly bound
-  /// statement, thaws the cached skeleton and refines it.
-  Result<std::unique_ptr<CompiledQuery>> CompileFromCacheEntry(
-      const PlanCacheEntry& entry, BoundStatement stmt, Tracer* tracer);
-
-  /// Observability state gathered across one query, whatever its exit path
-  /// (success, compile error, budget kill). QueryPipeline fills it in as
-  /// facts become known; RecordQueryObservability folds it into the digest
-  /// store, flight recorder and profile gauges exactly once per query.
-  struct QueryObs {
-    std::shared_ptr<Tracer> tracer;  ///< pinned on aborted/shed/fallback
-    uint64_t fingerprint = 0;        ///< 0 until the statement fingerprints
-    std::string canonical;
-    bool used_orca = false;
-    bool fell_back = false;
-    bool quarantine_hit = false;
-    bool plan_cache_hit = false;
-    double optimize_ms = 0.0;
-    ExecProfile profile;  ///< armed into ExecContext when profiling is on
+  /// One compile in flight: the statement and what the stages have learned
+  /// about it so far. The stage functions below run in pipeline order
+  /// (frontend, cache lookup, route, Orca detour, MySQL optimize, finish),
+  /// each reading and extending the job.
+  struct CompileJob {
+    const std::string& sql;
+    OptimizerPath path;
+    bool use_cache;
+    Tracer* tracer;  ///< null when tracing is disabled
+    std::chrono::steady_clock::time_point start;
+    BoundStatement stmt{};
+    /// Facts stamped onto the finished plan: fingerprint, canonical text,
+    /// quarantine skip, fallback and its reason.
+    CompileStats stats{};
+    bool quarantined = false;  ///< the fingerprint is in quarantine
+    std::string cache_key{};
+    /// This fingerprint's execution feedback for the Orca detour, and the
+    /// drift version that guards its cached plan.
+    std::shared_ptr<const FeedbackSnapshot> feedback{};
+    uint64_t feedback_version = 0;
   };
 
-  /// Query with optional per-node actuals collection (EXPLAIN ANALYZE) and
-  /// the final compiled plan handed back through `compiled_out`.
+  /// Compile with the cache consulted or bypassed. `tracer` may be null
+  /// (tracing disabled). When the compile fails, `failure_facts` (if set)
+  /// receives what the stages learned before the error, so the query's
+  /// record keeps its fingerprint and fallback story.
+  Result<std::unique_ptr<CompiledQuery>> CompileInternal(
+      const std::string& sql, OptimizerPath path, bool use_cache,
+      Tracer* tracer, CompileStats* failure_facts);
+
+  /// Runs the compile stages in pipeline order; a thaw mismatch on a cache
+  /// hit recompiles from SQL with the cache bypassed.
+  Result<std::unique_ptr<CompiledQuery>> RunCompileStages(CompileJob* job);
+
+  /// Frontend stage: parse, bind, prepare and fingerprint the statement,
+  /// then look up its quarantine state and execution feedback.
+  Status CompileFrontend(CompileJob* job);
+
+  /// Cache-lookup stage: the cached skeleton for the job's statement, or
+  /// null on a miss. A quarantined statement refuses a cached Orca plan.
+  std::shared_ptr<const PlanCacheEntry> LookupCache(CompileJob* job);
+
+  /// Replays the route's deterministic AST rewrites onto the freshly bound
+  /// statement, thaws the cached skeleton, verifies and finishes it.
+  Result<std::unique_ptr<CompiledQuery>> CompileFromCacheEntry(
+      const PlanCacheEntry& entry, CompileJob* job);
+
+  /// Route stage: true when the statement should take the Orca detour
+  /// (a quarantined statement is vetoed and counted as a quarantine hit).
+  bool RouteCompile(CompileJob* job);
+
+  /// Orca-detour stage: optimizes through Orca and finishes the plan. An
+  /// error is the detour's failure, already counted and traced.
+  Result<std::unique_ptr<CompiledQuery>> CompileViaOrca(CompileJob* job);
+
+  /// The auto route's clean fallback after a failed detour: records the
+  /// failure and re-binds the statement from the pristine SQL.
+  Status FallBackToMySql(CompileJob* job, const Status& detour_error);
+
+  /// MySQL-optimize stage: the native optimizer's skeleton, finished.
+  Result<std::unique_ptr<CompiledQuery>> CompileViaMySql(CompileJob* job);
+
+  /// Finish stage, shared by every path: freezes the skeleton (when
+  /// `cache_plan`), refines it into the executable plan, runs the
+  /// verify.block boundary (fatal only for Orca plans under enforce), stamps
+  /// the job's facts onto the plan and caches the frozen skeleton.
+  /// `report` carries the counts of the verifiers that ran before.
+  Result<std::unique_ptr<CompiledQuery>> FinishCompile(
+      CompileJob* job, const BlockSkeleton& skeleton, bool used_orca,
+      bool cache_plan, VerifyReport* report);
+
+  /// Compiles and executes one query, with optional per-node actuals
+  /// collection (EXPLAIN ANALYZE) and the final compiled plan handed back
+  /// through `compiled_out`, then folds its record via RecordQuery.
   Result<QueryResult> QueryInternal(const std::string& sql, OptimizerPath path,
                                     const QueryOptions& options,
                                     OpActualsMap* actuals,
                                     std::unique_ptr<CompiledQuery>* compiled_out);
 
-  /// The pre-introspection body of QueryInternal: compile + execute,
-  /// depositing observability facts into `obs` on every exit path.
-  Result<QueryResult> QueryPipeline(const std::string& sql, OptimizerPath path,
-                                    const QueryOptions& options,
-                                    OpActualsMap* actuals,
-                                    std::unique_ptr<CompiledQuery>* compiled_out,
-                                    QueryObs* obs);
+  /// The traced body of QueryInternal: compile, execute and, when the
+  /// executor budget kills an Orca plan on the auto route, recompile
+  /// through the MySQL path and execute again. Fills `out` as facts become
+  /// known, whatever the exit path.
+  Status RunQuery(const std::string& sql, OptimizerPath path,
+                  const QueryOptions& options, OpActualsMap* actuals,
+                  Tracer* tracer, QueryResult* out,
+                  std::unique_ptr<CompiledQuery>* compiled_out);
 
-  /// Folds one finished query (success or failure) into the digest store,
-  /// flight recorder and taurus.exec.profile.* gauges. Returns the
-  /// flight-recorder seq (0 when the recorder is off).
-  uint64_t RecordQueryObservability(const QueryOptions& options,
-                                    const Result<QueryResult>& result,
-                                    QueryObs* obs);
+  /// One execution of `compiled`: arms the ExecContext (budget, workers,
+  /// profiling, actuals, feedback sketches), checks B004, runs the plan
+  /// under an "execute" span and, on success, records the execution facts
+  /// into `stats` and harvests feedback. Adds its wall time to
+  /// `stats->execute_ms` either way.
+  Result<std::vector<Row>> ExecuteOnce(CompiledQuery* compiled,
+                                       const QueryOptions& options,
+                                       OpActualsMap* actuals, Tracer* tracer,
+                                       bool retry, QueryStats* stats);
+
+  /// The one sink for a finished query (success or failure): folds its
+  /// record into the per-query taurus.* counters and histograms, the
+  /// digest store and the flight recorder, setting `stats->total_ms` and
+  /// `stats->flight_seq`.
+  void RecordQuery(QueryStats* stats, const Status& status,
+                   const std::shared_ptr<Tracer>& tracer, uint64_t session_id);
 
   /// SHOW STATUS [LIKE 'pattern']: registry snapshot as result rows.
   Result<QueryResult> ShowStatus(const std::string& pattern);
@@ -454,12 +413,6 @@ class Database {
   /// query's duration — the member slot can be republished by a concurrent
   /// session at any time.
   std::shared_ptr<Tracer> BeginTrace(const QueryOptions& options);
-
-  /// Publishes the most-recent-compile fallback flag (single-session view).
-  void SetLastFellBack(bool fell_back) {
-    MutexLock lock(&state_mu_);
-    last_fell_back_ = fell_back;
-  }
 
   /// Resolves the engine's registry counters/histograms once (ctor).
   void BindCounters();
@@ -547,12 +500,11 @@ class Database {
   FlightRecorderConfig flight_config_;
   FlightRecorder flight_recorder_{flight_config_};
 
-  /// Guards the "most recent" single-session views (trace, Orca metrics,
-  /// fallback flag). Leaf rank 100: nothing else is acquired under it.
+  /// Guards the "most recent" single-session views (trace, Orca metrics).
+  /// Leaf rank 100: nothing else is acquired under it.
   mutable Mutex state_mu_{LockRank::kDatabaseState, "engine.state"};
   std::shared_ptr<Tracer> last_tracer_ TAURUS_GUARDED_BY(state_mu_);
   OrcaPathMetrics last_orca_metrics_ TAURUS_GUARDED_BY(state_mu_);
-  bool last_fell_back_ TAURUS_GUARDED_BY(state_mu_) = false;
 
   /// Guards pool creation/resize; queries pin the pool via shared_ptr.
   /// Rank 60, deliberately below the thread pool's rank 70: replacing the

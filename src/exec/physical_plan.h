@@ -1,6 +1,7 @@
 #ifndef TAURUS_EXEC_PHYSICAL_PLAN_H_
 #define TAURUS_EXEC_PHYSICAL_PLAN_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -165,26 +166,11 @@ struct Subplan {
   bool correlated = false;
 };
 
-/// A fully compiled statement: the bound AST (owning all Expr/TableRef
-/// nodes), the root block plan, expression-subquery plans, and any
-/// expressions synthesized during optimization/refinement.
-struct CompiledQuery {
-  std::unique_ptr<QueryBlock> ast;  ///< bound & prepared AST (owns exprs)
-  int num_refs = 0;
-
-  std::unique_ptr<BlockPlan> root;
-  std::vector<std::unique_ptr<Subplan>> subplans;
-  /// Plans for derived tables / CTE copies, referenced from kDerivedScan
-  /// nodes (which hold raw pointers).
-  std::vector<std::unique_ptr<BlockPlan>> owned_blocks;
-  /// Owner for expressions created after binding (predicate rewrites,
-  /// synthesized equality conjuncts, ...).
-  std::vector<std::unique_ptr<Expr>> owned_exprs;
-
-  /// Index accesses the skeleton prescribed that refinement could not bind
-  /// and built as table scans instead (taurus.refine.access_downgrades).
-  int access_downgrades = 0;
-
+/// What one compilation learned about itself: which optimizer built the
+/// plan, whether the Orca detour fell back (Section 4.2.1), and what the
+/// compile cost. The compile-side half of the per-query record
+/// (QueryStats); each fact is declared here and nowhere else.
+struct CompileStats {
   /// True when the plan was produced via the Orca detour.
   bool used_orca = false;
   /// Optimization wall-clock time, for the Table 1 experiment.
@@ -197,10 +183,11 @@ struct CompiledQuery {
   /// i.e. the optimizer work the cache avoided. 0 on misses.
   double optimize_saved_ms = 0.0;
 
-  /// True when the Orca detour was attempted and failed, and this plan is
-  /// the clean MySQL-path fallback (Section 4.2.1).
+  /// True when the Orca detour (at compile or under the executor budget)
+  /// or admission control gave up on the Orca plan, and the query was
+  /// served by the clean MySQL-path fallback instead.
   bool fell_back = false;
-  /// The detour failure that caused the fallback ("" when !fell_back).
+  /// The failure that caused the fallback ("" when !fell_back).
   std::string fallback_reason;
   /// True when the detour was skipped because the statement is quarantined
   /// (it failed the detour too many times since the last version bump).
@@ -211,18 +198,41 @@ struct CompiledQuery {
   /// was skipped) — the digest store's display text.
   std::string canonical;
 
-  /// Plan-verifier summary for this compilation: total rule evaluations
-  /// across the boundary verifiers that ran, and how many fired (surfaced
-  /// in EXPLAIN as "plan_verifier: N rules, M violations").
+  /// Plan-verifier summary: total rule evaluations across the boundary
+  /// verifiers that ran, and how many fired (surfaced in EXPLAIN as
+  /// "plan_verifier: N rules, M violations"). A query's record adds the
+  /// exec-budget arming check of each execution.
   int verifier_rules = 0;
   int verifier_violations = 0;
 
-  /// Cardinality-feedback override counts for this compilation: how many
-  /// memo cardinalities came from harvested actuals / Fast-AGMS sketches
-  /// instead of histogram formulas (0 when feedback is off or nothing was
-  /// harvested for this fingerprint yet).
+  /// Cardinality-feedback override counts: how many memo cardinalities
+  /// came from harvested actuals / Fast-AGMS sketches instead of histogram
+  /// formulas (0 when feedback is off or nothing was harvested for this
+  /// fingerprint yet).
   int64_t feedback_actual_overrides = 0;
   int64_t feedback_sketch_overrides = 0;
+
+  /// Index accesses the skeleton prescribed that refinement could not bind
+  /// and built as table scans instead (taurus.refine.access_downgrades).
+  int access_downgrades = 0;
+};
+
+/// A fully compiled statement: the bound AST (owning all Expr/TableRef
+/// nodes), the root block plan, expression-subquery plans, and any
+/// expressions synthesized during optimization/refinement, plus the
+/// compile's own facts.
+struct CompiledQuery : CompileStats {
+  std::unique_ptr<QueryBlock> ast;  ///< bound & prepared AST (owns exprs)
+  int num_refs = 0;
+
+  std::unique_ptr<BlockPlan> root;
+  std::vector<std::unique_ptr<Subplan>> subplans;
+  /// Plans for derived tables / CTE copies, referenced from kDerivedScan
+  /// nodes (which hold raw pointers).
+  std::vector<std::unique_ptr<BlockPlan>> owned_blocks;
+  /// Owner for expressions created after binding (predicate rewrites,
+  /// synthesized equality conjuncts, ...).
+  std::vector<std::unique_ptr<Expr>> owned_exprs;
 };
 
 }  // namespace taurus

@@ -16,9 +16,13 @@
 namespace taurus {
 
 /// Monotonic counter (atomic; safe to increment from worker threads).
+/// Adding 0 skips the atomic read-modify-write, so callers fold per-query
+/// counts unconditionally without contending on the cache line.
 class Counter {
  public:
-  void Increment(int64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  void Increment(int64_t n = 1) {
+    if (n != 0) v_.fetch_add(n, std::memory_order_relaxed);
+  }
   int64_t Value() const { return v_.load(std::memory_order_relaxed); }
   void Reset() { v_.store(0, std::memory_order_relaxed); }
 

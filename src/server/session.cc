@@ -42,7 +42,6 @@ Result<QueryResult> Session::Query(const std::string& sql,
       FlightRecord rec;
       rec.session_id = id_;
       rec.status = admitted.status().ToString();
-      rec.error = true;
       rec.admission = "rejected";
       db.flight_recorder().Record(std::move(rec));
     }
@@ -61,8 +60,9 @@ Result<QueryResult> Session::Query(const std::string& sql,
   query_options.trace = options_.trace;
   query_options.trace_slot = options_.trace ? &last_trace_ : nullptr;
   // Attribution for the digest store and flight recorder; the engine folds
-  // the admission outcome into QueryResult (shed/fell_back/fallback_reason)
-  // so the introspection surfaces and the client see one story.
+  // the admission outcome into the query record (shed, fell_back,
+  // fallback_reason) so the introspection surfaces and the client see one
+  // story.
   query_options.session_id = id_;
   query_options.shed = ticket.shed;
   query_options.shed_cause = ticket.shed_cause;

@@ -430,18 +430,6 @@ TEST_F(ObsEngineTest, MetricsJsonCarriesMigratedCounters) {
       << json;
 }
 
-TEST_F(ObsEngineTest, OptimizerHealthSnapshotsRegistryCounters) {
-  ASSERT_TRUE(db_.Query(kJoinSql, OptimizerPath::kOrca).ok());
-  OptimizerHealth health = db_.optimizer_health();
-  EXPECT_EQ(health.detours_attempted, 1);
-  EXPECT_EQ(health.detours_failed, 0);
-  EXPECT_EQ(db_.metrics().GetCounter("taurus.health.detours_attempted")
-                ->Value(),
-            1);
-  db_.ResetOptimizerHealth();
-  EXPECT_EQ(db_.optimizer_health().detours_attempted, 0);
-}
-
 TEST_F(ObsEngineTest, ShowStatusReturnsFilteredSortedRows) {
   ASSERT_TRUE(db_.Query(kJoinSql, OptimizerPath::kOrca).ok());
   auto res = db_.Query("SHOW STATUS LIKE 'taurus.health.%'");
@@ -561,13 +549,13 @@ TEST(DigestStoreConcurrencyTest, ConcurrentRecordSnapshotAndBumpAreExact) {
   for (int t = 0; t < kWriters; ++t) {
     threads.emplace_back([&store, &canonical, t] {
       for (int i = 0; i < kRecords; ++i) {
-        DigestSample s;
+        QueryStats s;
         s.fingerprint = 1 + static_cast<uint64_t>(i) % kFingerprints;
-        s.canonical = &canonical;
+        s.canonical = canonical;
         s.used_orca = (i + t) % 2 == 0;
-        s.latency_ms = static_cast<double>(i % 5);
+        s.total_ms = static_cast<double>(i % 5);
         s.rows_returned = 1;
-        store.Record(s);
+        store.Record(s, /*error=*/false);
       }
     });
   }

@@ -32,13 +32,13 @@ namespace {
 // DigestStore: aggregation, LRU bound, epoch splits (unit level)
 // ---------------------------------------------------------------------------
 
-DigestSample MakeSample(uint64_t fp, const std::string* canonical,
-                        double latency_ms, bool used_orca) {
-  DigestSample s;
+QueryStats MakeStats(uint64_t fp, const std::string& canonical,
+                     double latency_ms, bool used_orca) {
+  QueryStats s;
   s.fingerprint = fp;
   s.canonical = canonical;
   s.used_orca = used_orca;
-  s.latency_ms = latency_ms;
+  s.total_ms = latency_ms;
   s.rows_returned = 10;
   return s;
 }
@@ -56,12 +56,11 @@ TEST(DigestStoreTest, AggregatesFlagsAndPerPathLatency) {
   DigestStore store(config);
   const std::string stmt = "select-canonical";
 
-  store.Record(MakeSample(7, &stmt, 4.0, /*used_orca=*/true));
-  DigestSample err = MakeSample(7, &stmt, 2.0, /*used_orca=*/false);
-  err.error = true;
+  store.Record(MakeStats(7, stmt, 4.0, /*used_orca=*/true), /*error=*/false);
+  QueryStats err = MakeStats(7, stmt, 2.0, /*used_orca=*/false);
   err.fell_back = true;
   err.verifier_violations = 2;
-  store.Record(err);
+  store.Record(err, /*error=*/true);
 
   auto digests = store.Snapshot();
   ASSERT_EQ(digests.size(), 1u);
@@ -93,10 +92,11 @@ TEST(DigestStoreTest, LruEvictsLeastRecentlyExecutedNeverTheNewcomer) {
   DigestStore store(config);
   const std::string stmt = "s";
 
-  store.Record(MakeSample(1, &stmt, 1.0, false));
-  store.Record(MakeSample(2, &stmt, 1.0, false));
-  store.Record(MakeSample(1, &stmt, 1.0, false));  // touch 1: 2 becomes LRU
-  store.Record(MakeSample(3, &stmt, 1.0, false));  // evicts 2, not newcomer 3
+  store.Record(MakeStats(1, stmt, 1.0, false), false);
+  store.Record(MakeStats(2, stmt, 1.0, false), false);
+  // Touch 1: 2 becomes LRU. Then 3 evicts 2, never the newcomer 3.
+  store.Record(MakeStats(1, stmt, 1.0, false), false);
+  store.Record(MakeStats(3, stmt, 1.0, false), false);
 
   auto digests = store.Snapshot();
   EXPECT_EQ(store.Size(), 2u);
@@ -107,7 +107,7 @@ TEST(DigestStoreTest, LruEvictsLeastRecentlyExecutedNeverTheNewcomer) {
 
   // A re-learned fingerprint starts a fresh life: epoch back to 1, no
   // carried-over counts from the evicted entry.
-  store.Record(MakeSample(2, &stmt, 1.0, false));
+  store.Record(MakeStats(2, stmt, 1.0, false), false);
   digests = store.Snapshot();
   const DigestSnapshot* reborn = FindDigest(digests, 2);
   ASSERT_NE(reborn, nullptr);
@@ -132,8 +132,8 @@ TEST(DigestStoreTest, FakeClockEpochSplitExposesPlanRegression) {
   const std::string stmt = "skew-join";
 
   // Epoch 1: the good cached plan, 5ms and 7ms.
-  store.Record(MakeSample(42, &stmt, timed(5.0), true));
-  store.Record(MakeSample(42, &stmt, timed(7.0), true));
+  store.Record(MakeStats(42, stmt, timed(5.0), true), false);
+  store.Record(MakeStats(42, stmt, timed(7.0), true), false);
 
   EXPECT_TRUE(store.BumpEpoch(42, "drift"));
   // Collapse rule: a second hook firing before the next execution is the
@@ -155,7 +155,7 @@ TEST(DigestStoreTest, FakeClockEpochSplitExposesPlanRegression) {
 
   // Epoch 2: the regressed re-optimized plan, 40ms — the two-sided
   // comparison (mean 6ms -> mean 40ms) is the regression signal.
-  store.Record(MakeSample(42, &stmt, timed(40.0), true));
+  store.Record(MakeStats(42, stmt, timed(40.0), true), false);
   digests = store.Snapshot();
   d = FindDigest(digests, 42);
   ASSERT_NE(d, nullptr);
@@ -184,7 +184,7 @@ TEST(DigestStoreTest, DisabledStoreRecordsNothing) {
   config.enable = false;
   DigestStore store(config);
   const std::string stmt = "s";
-  store.Record(MakeSample(1, &stmt, 1.0, false));
+  store.Record(MakeStats(1, stmt, 1.0, false), false);
   EXPECT_EQ(store.Size(), 0u);
   EXPECT_EQ(store.records(), 0);
 }
@@ -244,7 +244,7 @@ TEST(FlightRecorderTest, PinAbortedTracesKnobDropsOrKeepsTheSpanTree) {
   FlightRecorderConfig config;
   FlightRecorder recorder(config);
   FlightRecord pinned = MakeRecord(1);
-  pinned.error = true;
+  pinned.status = "aborted";
   pinned.pinned_trace = tracer;
   config.pin_aborted_traces = false;
   recorder.Record(pinned);
@@ -252,7 +252,7 @@ TEST(FlightRecorderTest, PinAbortedTracesKnobDropsOrKeepsTheSpanTree) {
 
   config.pin_aborted_traces = true;
   FlightRecord kept = MakeRecord(2);
-  kept.error = true;
+  kept.status = "aborted";
   kept.pinned_trace = tracer;
   uint64_t seq = recorder.Record(kept);
   EXPECT_EQ(recorder.pinned(), 1);
@@ -534,6 +534,28 @@ TEST_F(IntrospectionTest, ProfilingKnobOffLeavesQueriesUnprofiled) {
   EXPECT_EQ(profile->rows.size(), 1u);
 }
 
+TEST_F(IntrospectionTest, CompileErrorAfterFingerprintingKeepsItsDigest) {
+  // A forced-Orca detour failure is a compile error that happens after
+  // fingerprinting: the record keeps the statement's fingerprint, so the
+  // error lands in the statement's own digest row and flight event, not
+  // in the fingerprint-0 bucket of statements that never parsed.
+  ASSERT_TRUE(db_.Query(kSkewSql, OptimizerPath::kMySql).ok());
+  FaultInjector::Instance().ArmCount("bridge.parse_tree_convert", 1);
+  auto failed = db_.Query(kSkewSql, OptimizerPath::kOrca);
+  ASSERT_FALSE(failed.ok());
+
+  const DigestSnapshot d = DigestWithCalls(2);
+  EXPECT_NE(d.fingerprint, 0u);
+  EXPECT_EQ(d.errors, 1);
+  EXPECT_EQ(db_.digest_store().Size(), 1u);
+  std::vector<FlightRecord> events = db_.flight_recorder().Snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_TRUE(events[1].error());
+  EXPECT_EQ(events[1].fingerprint, d.fingerprint);
+  EXPECT_NE(events[1].status.find("injected fault"), std::string::npos)
+      << events[1].status;
+}
+
 TEST_F(IntrospectionTest, JsonSurfacesRenderTheSameStory) {
   ASSERT_TRUE(db_.Query(kSkewSql, OptimizerPath::kOrca).ok());
   EXPECT_FALSE(db_.Query("SELECT * FROM no_such_table").ok());
@@ -562,32 +584,46 @@ TEST_F(IntrospectionTest, SessionSweepReconcilesDigestsWithQueryCounters) {
   Server server(&db_);
   constexpr int kSessions = 4;
   constexpr int kRounds = 5;
+  constexpr int kStatements = 4;
 
+  // Every returned query record, per session (merged after the join).
+  std::vector<std::vector<QueryResult>> records(kSessions);
   std::vector<std::thread> threads;
   threads.reserve(kSessions);
   for (int t = 0; t < kSessions; ++t) {
-    threads.emplace_back([this, &server] {
+    threads.emplace_back([&server, &records, t] {
       auto session = server.CreateSession();
       ASSERT_TRUE(session.ok());
+      auto keep = [&records, t](Result<QueryResult> res) {
+        ASSERT_TRUE(res.ok()) << res.status().ToString();
+        records[t].push_back(std::move(*res));
+      };
       for (int i = 0; i < kRounds; ++i) {
-        // Mixed sweep: the skew join (auto-routed), a cheap aggregate
-        // (forced MySQL path), and a statement that errors in binding.
-        EXPECT_TRUE((*session)->Query(kSkewSql).ok());
-        EXPECT_TRUE(
-            (*session)->Query(kCountSql, OptimizerPath::kMySql).ok());
+        // Mixed sweep: the skew join (auto-routed and forced through the
+        // Orca detour), a cheap aggregate (forced MySQL path), and a
+        // statement that errors in binding.
+        keep((*session)->Query(kSkewSql));
+        keep((*session)->Query(kSkewSql, OptimizerPath::kOrca));
+        keep((*session)->Query(kCountSql, OptimizerPath::kMySql));
         EXPECT_FALSE((*session)->Query("SELECT * FROM missing_tbl").ok());
       }
     });
   }
   for (std::thread& t : threads) t.join();
 
-  constexpr int64_t kTotal = kSessions * kRounds * 3;
+  constexpr int64_t kTotal = kSessions * kRounds * kStatements;
   EXPECT_EQ(db_.metrics().GetCounter("taurus.query.count")->Value(), kTotal);
   int64_t digest_calls = 0;
   int64_t digest_errors = 0;
+  DigestSnapshot digest_sum;
   for (const DigestSnapshot& d : db_.digest_store().Snapshot()) {
     digest_calls += d.calls;
     digest_errors += d.errors;
+    digest_sum.orca_calls += d.orca_calls;
+    digest_sum.mysql_calls += d.mysql_calls;
+    digest_sum.plan_cache_hits += d.plan_cache_hits;
+    digest_sum.fallbacks += d.fallbacks;
+    digest_sum.rows_returned += d.rows_returned;
   }
   // Exact reconciliation: every query the engine counted has exactly one
   // digest sample (SHOW/introspection surfaces add none of their own).
@@ -596,6 +632,44 @@ TEST_F(IntrospectionTest, SessionSweepReconcilesDigestsWithQueryCounters) {
   EXPECT_EQ(digest_errors,
             db_.metrics().GetCounter("taurus.query.errors")->Value());
   EXPECT_EQ(db_.digest_store().records(), kTotal);
+
+  // The records returned to the sessions add up to the same totals as the
+  // taurus.* counters and the digests: one record per query, one sink.
+  int64_t orca = 0;
+  int64_t cache_hits = 0;
+  int64_t fallbacks = 0;
+  int64_t rows = 0;
+  int64_t rows_scanned = 0;
+  int64_t index_lookups = 0;
+  int64_t returned = 0;
+  for (const std::vector<QueryResult>& session_records : records) {
+    for (const QueryResult& r : session_records) {
+      ++returned;
+      orca += r.used_orca ? 1 : 0;
+      cache_hits += r.plan_cache_hit ? 1 : 0;
+      fallbacks += r.fell_back ? 1 : 0;
+      rows += static_cast<int64_t>(r.rows.size());
+      EXPECT_EQ(r.rows_returned, static_cast<int64_t>(r.rows.size()));
+      rows_scanned += r.rows_scanned;
+      index_lookups += r.index_lookups;
+    }
+  }
+  auto counter = [this](const char* name) {
+    return db_.metrics().GetCounter(name)->Value();
+  };
+  EXPECT_EQ(returned, kSessions * kRounds * (kStatements - 1));
+  EXPECT_GE(orca, kSessions * kRounds);  // at least every forced detour
+  EXPECT_EQ(orca, digest_sum.orca_calls);
+  EXPECT_EQ(returned - orca + digest_errors, digest_sum.mysql_calls);
+  EXPECT_EQ(cache_hits, counter("taurus.plan_cache.hits"));
+  EXPECT_EQ(cache_hits, digest_sum.plan_cache_hits);
+  EXPECT_GT(cache_hits, 0);
+  EXPECT_EQ(fallbacks, counter("taurus.health.fallbacks"));
+  EXPECT_EQ(fallbacks, digest_sum.fallbacks);
+  EXPECT_EQ(rows, digest_sum.rows_returned);
+  EXPECT_EQ(rows_scanned, counter("taurus.exec.rows_scanned"));
+  EXPECT_EQ(index_lookups, counter("taurus.exec.index_lookups"));
+  EXPECT_GT(rows_scanned, 0);
   // The flight recorder saw the same traffic (no admission rejections in
   // this sweep, so engine events are the only events).
   EXPECT_EQ(db_.flight_recorder().records(), kTotal);
