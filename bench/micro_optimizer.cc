@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the compilation pipeline
 // stages: parsing, binding+prepare, MySQL greedy optimization, the Orca
-// detour (per join-search strategy), the metadata provider's DXL round
-// trip, and the expression-OID algebra. These are the per-component
-// numbers behind the Table 1 totals.
+// detour (per join-search strategy, and the EXHAUSTIVE2 join search on
+// TPC-DS Q64 and Q72), the metadata provider's DXL round trip, and the
+// expression-OID algebra. These are the per-component numbers behind the
+// Table 1 totals.
 //
 // --json writes BENCH_optimizer.json (flat name -> ms/iter map) for CI
 // trending; other flags pass through to google-benchmark.
@@ -16,6 +17,7 @@
 #include "mdp/provider.h"
 #include "myopt/mysql_optimizer.h"
 #include "parser/parser.h"
+#include "workloads/tpcds.h"
 #include "workloads/tpch.h"
 
 namespace taurus {
@@ -25,6 +27,17 @@ Database* SharedDb() {
   static Database* db = [] {
     auto* d = new Database();
     auto st = SetupTpch(d, 0.001);
+    if (!st.ok()) std::abort();
+    return d;
+  }();
+  return db;
+}
+
+/// TPC-DS at the benchmark's scale; only compiled, never executed.
+Database* SharedTpcdsDb() {
+  static Database* db = [] {
+    auto* d = new Database();
+    auto st = SetupTpcds(d, 0.001);
     if (!st.ok()) std::abort();
     return d;
   }();
@@ -84,6 +97,30 @@ BENCHMARK(BM_OrcaOptimize)
     ->Arg(static_cast<int>(JoinSearchStrategy::kGreedy))
     ->Arg(static_cast<int>(JoinSearchStrategy::kExhaustive))
     ->Arg(static_cast<int>(JoinSearchStrategy::kExhaustive2));
+
+/// The whole Orca detour of TPC-DS query `state.range(0)` under
+/// EXHAUSTIVE2: the join search over the largest blocks in either suite
+/// (Q64: 173k partition pairs, 2,053 memo groups; Q72: 17k and 515).
+void BM_OrcaOptimizeTpcds(benchmark::State& state) {
+  Database* db = SharedTpcdsDb();
+  OrcaConfig config;
+  config.strategy = JoinSearchStrategy::kExhaustive2;
+  const std::string& sql =
+      TpcdsQueries()[static_cast<size_t>(state.range(0)) - 1];
+  for (auto _ : state) {
+    auto q = ParseSelect(sql);
+    auto bound = BindStatement(db->catalog(), std::move(*q));
+    BoundStatement stmt = std::move(*bound);
+    (void)PrepareStatement(&stmt);
+    OrcaPathOptimizer orca(db->catalog(), &stmt, &db->mdp(), config);
+    auto skel = orca.Optimize();
+    benchmark::DoNotOptimize(skel);
+  }
+}
+BENCHMARK(BM_OrcaOptimizeTpcds)
+    ->Arg(64)
+    ->Arg(72)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FullCompileOrca(benchmark::State& state) {
   Database* db = SharedDb();

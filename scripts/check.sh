@@ -183,8 +183,21 @@ echo "check.sh: server benches (BENCH_plan_cache_mt.json, BENCH_admission.json)"
 (cd "$repo_root" && "$build_dir/bench/micro_plan_cache_mt" --json)
 (cd "$repo_root" && "$build_dir/bench/micro_admission" --json)
 
+# Compile overhead (paper Table 1): total TPC-H / TPC-DS compile time with
+# the MySQL optimizer and Orca EXHAUSTIVE / EXHAUSTIVE2, every query
+# detouring; plus the Orca detour micro numbers, including the EXHAUSTIVE2
+# join search on TPC-DS Q64 and Q72. Writes
+# BENCH_table1_compile_overhead.json and BENCH_optimizer.json.
+echo "check.sh: compile-overhead benches (BENCH_table1_compile_overhead.json, BENCH_optimizer.json)"
+(cd "$repo_root" && "$build_dir/bench/table1_compile_overhead" --json)
+(cd "$repo_root" && "$build_dir/bench/micro_optimizer" --json \
+  --benchmark_filter=BM_OrcaOptimize)
+
 # Workload-introspection overhead: digest fold + flight-recorder append
-# on the fastest hit-path query (acceptance bar: overhead_pct <= 2).
+# on the fastest hit-path query, as the median of 31 alternating on/off run
+# pairs with its quartiles. No bar is enforced: on a shared 4-core host the
+# quartiles sit 5-10 points apart, so the bench can show the overhead is
+# below about 10%, not that it is below 2%; record_ns bounds the fold.
 echo "check.sh: digest overhead bench (BENCH_digest.json)"
 (cd "$repo_root" && "$build_dir/bench/micro_digest" --json)
 
