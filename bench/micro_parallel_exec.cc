@@ -1,6 +1,8 @@
 // Morsel-driven parallel executor scaling: a 1M-row scan-aggregate and a
-// TPC-H Q3-shaped join+aggregate, each run at 1/2/4/8 workers. Workers=1
-// is exactly the serial executor (no pool is armed), so the first column
+// TPC-H Q3-shaped join+aggregate, each run at 1/2/4/8 workers, once with
+// the vectorized batch engine (the default) and once row-at-a-time
+// (ExecutorConfig::enable_batch = false, the Volcano baseline). Workers=1
+// is exactly the serial executor (no pool is armed), so the first row
 // doubles as the regression baseline for the parallel refactor.
 //
 // Expect near-linear scan-aggregate scaling up to the physical core count
@@ -119,8 +121,9 @@ int main(int argc, char** argv) {
   PrintHeader("Morsel-driven parallel executor scaling");
   std::printf("li rows %lld, best of %d runs, hardware workers %d\n\n", rows,
               repeat, taurus::ThreadPool::HardwareWorkers());
-  std::printf("%-10s %14s %14s %10s %10s\n", "workers", "scan_agg_ms",
-              "q3_join_ms", "scan_x", "join_x");
+  std::printf("%-10s %14s %14s %10s %10s %14s %14s\n", "workers",
+              "scan_agg_ms", "q3_join_ms", "scan_x", "join_x", "scan_volcano",
+              "join_volcano");
 
   std::vector<std::pair<std::string, double>> metrics;
   metrics.emplace_back("rows", static_cast<double>(rows));
@@ -131,19 +134,27 @@ int main(int argc, char** argv) {
     db.exec_config().parallel_min_driver_rows = 0;
     int scan_pipes = 0;
     int join_pipes = 0;
+    db.exec_config().enable_batch = true;
     double scan_ms = BestMs(&db, scan_agg, repeat, &scan_pipes);
     double join_ms = BestMs(&db, q3, repeat, &join_pipes);
+    db.exec_config().enable_batch = false;
+    double scan_volcano_ms = BestMs(&db, scan_agg, repeat, &scan_pipes);
+    double join_volcano_ms = BestMs(&db, q3, repeat, &join_pipes);
     if (workers == 1) {
       scan_serial = scan_ms;
       join_serial = join_ms;
     }
-    std::printf("%-10d %14.2f %14.2f %9.2fx %9.2fx%s\n", workers, scan_ms,
-                join_ms, scan_ms > 0 ? scan_serial / scan_ms : 0.0,
-                join_ms > 0 ? join_serial / join_ms : 0.0,
+    std::printf("%-10d %14.2f %14.2f %9.2fx %9.2fx %14.2f %14.2f%s\n",
+                workers, scan_ms, join_ms,
+                scan_ms > 0 ? scan_serial / scan_ms : 0.0,
+                join_ms > 0 ? join_serial / join_ms : 0.0, scan_volcano_ms,
+                join_volcano_ms,
                 workers > 1 && scan_pipes == 0 ? "   (stayed serial)" : "");
     const std::string w = std::to_string(workers);
     metrics.emplace_back("scan_agg_ms_w" + w, scan_ms);
     metrics.emplace_back("q3_join_ms_w" + w, join_ms);
+    metrics.emplace_back("scan_agg_ms_volcano_w" + w, scan_volcano_ms);
+    metrics.emplace_back("q3_join_ms_volcano_w" + w, join_volcano_ms);
     if (workers == 4) {
       metrics.emplace_back("scan_speedup_w4",
                            scan_ms > 0 ? scan_serial / scan_ms : 0.0);

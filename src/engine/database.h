@@ -90,8 +90,8 @@ struct ExecutorConfig {
   int64_t parallel_min_driver_rows = 32768;
 
   // Vectorized batch execution (see DESIGN.md section 13).
-  /// Run batch-eligible pipelines (and grafted segments) batch-at-a-time;
-  /// off = exactly the row-at-a-time Volcano executor.
+  /// Run the driving pipelines refine marked batch-eligible
+  /// batch-at-a-time; off = exactly the row-at-a-time Volcano executor.
   bool enable_batch = true;
   /// Target rows per batch (clamped to >= 1).
   int64_t batch_size = 1024;

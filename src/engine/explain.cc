@@ -415,7 +415,7 @@ class ExplainRenderer {
         Line(indent, "Serial pipeline (" + plan.serial_reason + ")", out);
       }
       // Vectorization marker: whether the driving chain runs batch-at-a-time
-      // (partial segments may still batch behind adapters when ineligible).
+      // (with ExecutorConfig::enable_batch on) or row-at-a-time.
       if (plan.batch_eligible) {
         Line(indent, "Batch pipeline (vectorized eligible)", out);
       } else {

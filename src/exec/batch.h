@@ -54,9 +54,8 @@ struct Batch {
 
   /// Reconstitutes physical row `row` into `frame`: every active slot is
   /// overwritten (with null for NULL-extended rows); inactive slots keep
-  /// whatever `frame` already holds (the outer bindings). Used by the
-  /// Batch→Frame adapter and by per-row fallbacks (subquery expressions,
-  /// sort/group representative capture).
+  /// whatever `frame` already holds (the outer bindings). Used by per-row
+  /// fallbacks (subquery expressions, sort/group representative capture).
   void FillFrame(uint32_t row, Frame* frame) const {
     for (size_t s = 0; s < cols.size(); ++s) {
       if (active[s] != 0) (*frame)[s] = cols[s][row];

@@ -303,167 +303,6 @@ class BatchHashJoinProbe : public BatchOp {
   size_t cand_pos_ = 0;
 };
 
-/// Frame->Batch adapter: drives a Volcano subtree row by row and buffers
-/// its slots into batches so everything above runs vectorized. Only valid
-/// over subtrees whose row pointers stay put while buffered (see
-/// StableRowSource). Actuals for the buffered subtree come from its own
-/// AnalyzeIter wrappers — this adapter records nothing.
-class FrameSourceBatchOp : public BatchOp {
- public:
-  FrameSourceBatchOp(const PhysOp* op, std::unique_ptr<FrameIter> iter)
-      : refs_(SubtreeRefs(*op)), iter_(std::move(iter)) {}
-
-  Status Open(Frame* frame, ExecContext* ctx) override {
-    frame_ = frame;
-    batch_.Reset(frame->size(), frame);
-    for (int r : refs_) batch_.Activate(r);
-    cap_ = std::max<int64_t>(1, ctx->batch_size);
-    return iter_->Open(frame, ctx);
-  }
-
-  Result<Batch*> NextBatch(ExecContext* ctx) override {
-    for (int r : refs_) batch_.cols[static_cast<size_t>(r)].clear();
-    batch_.sel.clear();
-    batch_.size = 0;
-    while (static_cast<int64_t>(batch_.size) < cap_) {
-      TAURUS_ASSIGN_OR_RETURN(bool has, iter_->Next(frame_, ctx));
-      if (!has) break;
-      for (int r : refs_) {
-        const size_t slot = static_cast<size_t>(r);
-        batch_.cols[slot].push_back((*frame_)[slot]);
-      }
-      batch_.sel.push_back(static_cast<uint32_t>(batch_.size));
-      ++batch_.size;
-    }
-    if (batch_.sel.empty()) return nullptr;
-    return &batch_;
-  }
-
- private:
-  std::vector<int> refs_;
-  std::unique_ptr<FrameIter> iter_;
-  Frame* frame_ = nullptr;
-  int64_t cap_ = 1;
-  Batch batch_;
-};
-
-/// Batch->Frame adapter: lets a Volcano consumer pull rows off a fully
-/// batch-native chain one at a time.
-class BatchIterAdapter : public FrameIter {
- public:
-  BatchIterAdapter(const PhysOp* op, std::unique_ptr<BatchOp> chain)
-      : refs_(SubtreeRefs(*op)), chain_(std::move(chain)) {}
-
-  Status Open(Frame* frame, ExecContext* ctx) override {
-    cur_ = nullptr;
-    pos_ = 0;
-    return chain_->Open(frame, ctx);
-  }
-
-  Result<bool> Next(Frame* frame, ExecContext* ctx) override {
-    while (cur_ == nullptr || pos_ >= cur_->sel.size()) {
-      TAURUS_ASSIGN_OR_RETURN(cur_, chain_->NextBatch(ctx));
-      pos_ = 0;
-      if (cur_ == nullptr) {
-        ClearSlots(frame, refs_);
-        return false;
-      }
-      ++ctx->batches;
-      ctx->batch_rows += static_cast<int64_t>(cur_->sel.size());
-    }
-    cur_->FillFrame(cur_->sel[pos_++], frame);
-    return true;
-  }
-
- private:
-  std::vector<int> refs_;
-  std::unique_ptr<BatchOp> chain_;
-  Batch* cur_ = nullptr;
-  size_t pos_ = 0;
-};
-
-/// True when every row pointer the subtree produces stays valid for a
-/// whole buffered drain. Storage-backed scans always qualify; cached
-/// derived tables do (the materialization outlives the pipeline) but
-/// correlated re-materializing ones do not; a hash join's build entries
-/// survive until its next Open — which happens mid-drain only when the
-/// join sits under a nested-loop right side (rebound per outer row).
-bool StableRowSource(const PhysOp& op, bool under_nl_right) {
-  switch (op.kind) {
-    case PhysOp::Kind::kDerivedScan:
-      return !op.invalidate_on_rebind;
-    case PhysOp::Kind::kHashJoin:
-      if (under_nl_right) return false;
-      return StableRowSource(*op.child, under_nl_right) &&
-             StableRowSource(*op.right, under_nl_right);
-    case PhysOp::Kind::kNLJoin:
-      return StableRowSource(*op.child, under_nl_right) &&
-             StableRowSource(*op.right, /*under_nl_right=*/true);
-    case PhysOp::Kind::kFilter:
-      return StableRowSource(*op.child, under_nl_right);
-    default:
-      return true;
-  }
-}
-
-/// Recursive chain builder. Strict mode (worker chains, Batch->Frame
-/// grafts) refuses any non-native operator; lax mode ends the vectorized
-/// run with a Frame->Batch source over the foreign subtree when its row
-/// pointers are stable.
-std::unique_ptr<BatchOp> BuildBatchOp(const PhysOp* op, ExecContext* ctx,
-                                      const PipelineShared* shared,
-                                      bool strict, BatchChain* chain) {
-  const bool analyze = ctx->op_actuals != nullptr;
-  switch (op->kind) {
-    case PhysOp::Kind::kTableScan: {
-      auto scan = std::make_unique<BatchTableScan>(op);
-      chain->driver = scan.get();
-      ++chain->native_ops;
-      return scan;
-    }
-    case PhysOp::Kind::kFilter: {
-      std::unique_ptr<BatchOp> child =
-          BuildBatchOp(op->child.get(), ctx, shared, strict, chain);
-      if (child == nullptr) return nullptr;
-      ++chain->native_ops;
-      return std::make_unique<BatchFilter>(op, std::move(child));
-    }
-    case PhysOp::Kind::kHashJoin: {
-      if (!HashJoinBatchNative(*op)) break;
-      HashJoinLayout layout = MakeHashJoinLayout(*op);
-      const PhysOp* probe_child =
-          layout.build_is_left ? op->right.get() : op->child.get();
-      const PhysOp* build_child =
-          layout.build_is_left ? op->child.get() : op->right.get();
-      std::unique_ptr<BatchOp> child =
-          BuildBatchOp(probe_child, ctx, shared, strict, chain);
-      if (child == nullptr) return nullptr;
-      if (shared != nullptr) {
-        auto it = shared->hash_states.find(op);
-        if (it == shared->hash_states.end()) return nullptr;
-        ++chain->native_ops;
-        return std::make_unique<BatchHashJoinProbe>(op, std::move(child),
-                                                    nullptr, &it->second);
-      }
-      // The build side is drained fully by FillHashJoinState, so it may
-      // itself run vectorized behind a Batch->Frame adapter.
-      std::unique_ptr<FrameIter> build =
-          ChildIter(build_child, analyze, ctx, /*allow_batch=*/true);
-      ++chain->native_ops;
-      return std::make_unique<BatchHashJoinProbe>(op, std::move(child),
-                                                  std::move(build), nullptr);
-    }
-    default:
-      break;
-  }
-  if (strict) return nullptr;
-  if (!StableRowSource(*op, /*under_nl_right=*/false)) return nullptr;
-  std::unique_ptr<FrameIter> iter =
-      BuildIter(op, analyze, ctx, /*allow_batch=*/true);
-  if (iter == nullptr) return nullptr;
-  return std::make_unique<FrameSourceBatchOp>(op, std::move(iter));
-}
-
 }  // namespace
 
 Status BatchTableScan::Open(Frame* frame, ExecContext* ctx) {
@@ -506,43 +345,31 @@ Result<Batch*> BatchTableScan::NextBatch(ExecContext* ctx) {
   return nullptr;
 }
 
-bool HashJoinBatchNative(const PhysOp& op) {
-  if (op.kind != PhysOp::Kind::kHashJoin) return false;
-  switch (op.join_type) {
-    case JoinType::kInner:
-    case JoinType::kCross:
-      return true;
-    case JoinType::kLeft:
-      // Unmatched-probe detection is per row (candidates empty), which a
-      // residual condition would break: conds can reject every candidate
-      // after the fact, and that must emit a NULL-extended row instead.
-      return op.conds.empty();
-    default:
-      return false;  // semi/anti need interleaved matched-tracking
+std::unique_ptr<BatchOp> BuildBatchChain(const PhysOp* op, ExecContext* ctx,
+                                         const PipelineShared* shared,
+                                         BatchTableScan** driver) {
+  if (!op->batch_native) return nullptr;
+  if (op->kind == PhysOp::Kind::kTableScan) {
+    auto scan = std::make_unique<BatchTableScan>(op);
+    if (driver != nullptr) *driver = scan.get();
+    return scan;
   }
-}
-
-BatchChain BuildBatchChain(const PhysOp* op, ExecContext* ctx,
-                           const PipelineShared* shared) {
-  BatchChain chain;
-  if (ctx == nullptr || !ctx->use_batch) return chain;
-  chain.root = BuildBatchOp(op, ctx, shared, /*strict=*/shared != nullptr,
-                            &chain);
-  if (chain.root == nullptr) {
-    chain.driver = nullptr;
-    chain.native_ops = 0;
+  std::unique_ptr<BatchOp> child =
+      BuildBatchChain(DrivingChild(*op), ctx, shared, driver);
+  if (child == nullptr) return nullptr;
+  if (op->kind == PhysOp::Kind::kFilter) {
+    return std::make_unique<BatchFilter>(op, std::move(child));
   }
-  return chain;
-}
-
-std::unique_ptr<FrameIter> MakeBatchIterAdapter(const PhysOp* op,
-                                                ExecContext* ctx) {
-  if (ctx == nullptr || !ctx->use_batch) return nullptr;
-  BatchChain chain;
-  chain.root =
-      BuildBatchOp(op, ctx, /*shared=*/nullptr, /*strict=*/true, &chain);
-  if (chain.root == nullptr || chain.native_ops == 0) return nullptr;
-  return std::make_unique<BatchIterAdapter>(op, std::move(chain.root));
+  if (shared != nullptr) {
+    auto it = shared->hash_states.find(op);
+    if (it == shared->hash_states.end()) return nullptr;
+    return std::make_unique<BatchHashJoinProbe>(op, std::move(child), nullptr,
+                                                &it->second);
+  }
+  const PhysOp* build_child =
+      MakeHashJoinLayout(*op).build_is_left ? op->child.get() : op->right.get();
+  return std::make_unique<BatchHashJoinProbe>(
+      op, std::move(child), BuildIter(build_child, ctx), nullptr);
 }
 
 }  // namespace taurus

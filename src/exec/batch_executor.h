@@ -4,10 +4,10 @@
 // Vectorized (batch-at-a-time) execution over the same physical plans the
 // Volcano executor runs. Operators pull column-major Batches of up to
 // ExecContext::batch_size rows; filters shrink the selection vector in
-// place, hash-join probes hash whole key vectors against the shared build
-// state, and a Batch<->Frame adapter pair keeps every operator the batch
-// engine does not speak (nested-loop joins, index scans, derived scans)
-// on the row-at-a-time path. See DESIGN.md section 13.
+// place, and hash-join probes hash whole key vectors against the shared
+// build state. A block's driving pipeline runs here exactly when refine
+// marked it BlockPlan::batch_eligible; everything else runs row-at-a-time.
+// See DESIGN.md section 13.
 
 #include <memory>
 
@@ -59,48 +59,15 @@ class BatchTableScan : public BatchOp {
   Batch batch_;
 };
 
-/// A built batch pipeline over the driving chain of one plan subtree.
-struct BatchChain {
-  std::unique_ptr<BatchOp> root;  ///< null when nothing would vectorize
-  /// The repositionable driving scan when the chain bottoms out in a
-  /// batch-native TableScan (worker chains require it).
-  BatchTableScan* driver = nullptr;
-  /// Operators running vectorized (excludes the Frame->Batch source).
-  int native_ops = 0;
-};
-
-/// True when this hash join's shape has a vectorized probe: inner/cross
-/// (residual conds run as a post-emit FilterBatch), or left with no
-/// residual condition (matched == candidates nonempty). Semi/anti and
-/// conditional left joins need interleaved matched-tracking and stay on
-/// the Volcano path. Shared with refine-time AnalyzeBatchSafety so the
-/// surfaced flags and the runtime chain builder never disagree.
-bool HashJoinBatchNative(const PhysOp& op);
-
-/// Builds a batch pipeline over `op`'s driving chain.
-///
-/// shared == nullptr (serial form): hash joins build their own state on
-/// Open; the topmost run of batch-native operators is vectorized and the
-/// first foreign operator below it becomes a Frame->Batch source adapter
-/// (Volcano below, batches above) — unless its buffered row pointers could
-/// dangle (correlated derived scans, hash joins re-built under a
-/// nested-loop right side), in which case root stays null.
-///
-/// shared != nullptr (morsel worker form): strictly batch-native chains
-/// only, probing the prebuilt read-only hash states; root is null unless
-/// the whole chain down to the TableScan driver vectorizes.
-///
-/// Returns an empty chain when ctx->use_batch is off or nothing would run
-/// vectorized (callers fall back to the Volcano chain).
-BatchChain BuildBatchChain(const PhysOp* op, ExecContext* ctx,
-                           const PipelineShared* shared);
-
-/// Batch->Frame adapter over a fully batch-native subtree, or null when
-/// the subtree does not vectorize end to end. This is how Volcano-headed
-/// plans still run their hot segments (hash-join build sides, nested-loop
-/// outer sides) vectorized.
-std::unique_ptr<FrameIter> MakeBatchIterAdapter(const PhysOp* op,
-                                                ExecContext* ctx);
+/// Builds the vectorized chain over `op`'s driving path, mirroring
+/// BuildIter: serial hash-join probes (shared == nullptr) build their own
+/// state per Open from a Volcano build side; a morsel worker's probes
+/// (`shared` set) read the prebuilt states, and `driver` receives the
+/// repositionable driving scan. Returns null when an operator on the path
+/// is not batch-native (PhysOp::batch_native, decided at refine time).
+std::unique_ptr<BatchOp> BuildBatchChain(const PhysOp* op, ExecContext* ctx,
+                                         const PipelineShared* shared = nullptr,
+                                         BatchTableScan** driver = nullptr);
 
 }  // namespace taurus
 

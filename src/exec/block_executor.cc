@@ -32,8 +32,6 @@ void ClearSlots(Frame* frame, const std::vector<int>& refs) {
 // Frame iterators
 // ---------------------------------------------------------------------------
 
-namespace {
-
 class TableScanIter : public FrameIter {
  public:
   explicit TableScanIter(const PhysOp* op) : op_(op) {}
@@ -81,6 +79,8 @@ class TableScanIter : public FrameIter {
   bool ranged_ = false;
   size_t range_begin_ = 0, range_end_ = 0;
 };
+
+namespace {
 
 class IndexRangeIter : public FrameIter {
  public:
@@ -588,21 +588,27 @@ class AnalyzeIter : public FrameIter {
   std::unique_ptr<FrameIter> inner_;
 };
 
-std::unique_ptr<FrameIter> Analyzed(bool analyze, const PhysOp* op,
+std::unique_ptr<FrameIter> Analyzed(const PhysOp* op, ExecContext* ctx,
                                     std::unique_ptr<FrameIter> iter) {
-  if (!analyze || iter == nullptr) return iter;
+  if (ctx->op_actuals == nullptr || iter == nullptr) return iter;
   return std::make_unique<AnalyzeIter>(op, std::move(iter));
 }
 
 }  // namespace
 
-std::unique_ptr<FrameIter> BuildIter(const PhysOp* op, bool analyze,
-                                     ExecContext* ctx, bool allow_batch) {
+std::unique_ptr<FrameIter> BuildIter(const PhysOp* op, ExecContext* ctx,
+                                     const PipelineShared* shared,
+                                     TableScanIter** driver) {
   std::unique_ptr<FrameIter> iter;
   switch (op->kind) {
-    case PhysOp::Kind::kTableScan:
-      iter = std::make_unique<TableScanIter>(op);
+    case PhysOp::Kind::kTableScan: {
+      auto scan = std::make_unique<TableScanIter>(op);
+      // The raw scan, before any analyze wrapping: a worker repositions it
+      // per morsel, so under analyze its loops count morsels processed.
+      if (driver != nullptr) *driver = scan.get();
+      iter = std::move(scan);
       break;
+    }
     case PhysOp::Kind::kIndexRange:
       iter = std::make_unique<IndexRangeIter>(op);
       break;
@@ -614,45 +620,29 @@ std::unique_ptr<FrameIter> BuildIter(const PhysOp* op, bool analyze,
       break;
     case PhysOp::Kind::kFilter:
       iter = std::make_unique<FilterIter>(
-          op, ChildIter(op->child.get(), analyze, ctx, allow_batch));
+          op, BuildIter(op->child.get(), ctx, shared, driver));
       break;
-    case PhysOp::Kind::kNLJoin: {
-      // The right side is re-opened per left row; semi/anti stop draining
-      // it at the first match, so a batch graft there would overcharge the
-      // scan budget and skew actuals.
-      const JoinType jt = op->join_type;
-      const bool right_allow =
-          allow_batch && (jt == JoinType::kInner || jt == JoinType::kCross ||
-                          jt == JoinType::kLeft);
+    case PhysOp::Kind::kNLJoin:
+      // The inner side is re-opened per outer row, on a worker too.
       iter = std::make_unique<NLJoinIter>(
-          op, ChildIter(op->child.get(), analyze, ctx, allow_batch),
-          ChildIter(op->right.get(), analyze, ctx, right_allow));
+          op, BuildIter(op->child.get(), ctx, shared, driver),
+          BuildIter(op->right.get(), ctx));
       break;
-    }
     case PhysOp::Kind::kHashJoin: {
-      // The build side is always drained fully (FillHashJoinState), so it
-      // may run batched regardless of how the consumer drains the join.
-      const bool build_is_left = (op->join_type == JoinType::kInner ||
-                                  op->join_type == JoinType::kCross);
-      iter = std::make_unique<HashJoinIter>(
-          op,
-          ChildIter(op->child.get(), analyze, ctx,
-                    build_is_left ? true : allow_batch),
-          ChildIter(op->right.get(), analyze, ctx,
-                    build_is_left ? allow_batch : true));
+      if (shared == nullptr) {
+        iter = std::make_unique<HashJoinIter>(op, BuildIter(op->child.get(), ctx),
+                                              BuildIter(op->right.get(), ctx));
+        break;
+      }
+      auto it = shared->hash_states.find(op);
+      if (it == shared->hash_states.end()) return nullptr;
+      auto probe = BuildIter(DrivingChild(*op), ctx, shared, driver);
+      if (probe == nullptr) return nullptr;
+      iter = std::make_unique<HashJoinIter>(op, std::move(probe), &it->second);
       break;
     }
   }
-  return Analyzed(analyze, op, std::move(iter));
-}
-
-std::unique_ptr<FrameIter> ChildIter(const PhysOp* op, bool analyze,
-                                     ExecContext* ctx, bool allow_batch) {
-  if (allow_batch) {
-    std::unique_ptr<FrameIter> adapter = MakeBatchIterAdapter(op, ctx);
-    if (adapter != nullptr) return adapter;
-  }
-  return BuildIter(op, analyze, ctx, allow_batch);
+  return Analyzed(op, ctx, std::move(iter));
 }
 
 namespace {
@@ -791,8 +781,8 @@ class GroupByState {
 
   /// A morsel partial borrows its representative frames instead of
   /// deep-copying them. The rows they point at — table rows, the outer
-  /// binding, and hash build sides held in ParallelOut::shared — outlive
-  /// the block's aggregation, and most partial groups fold into an earlier
+  /// binding, and the pipeline's prebuilt hash build sides — outlive the
+  /// block's aggregation, and most partial groups fold into an earlier
   /// morsel's group at merge, so a copy per partial group would only churn
   /// worker memory.
   void InitPartial(const BlockPlan* plan) {
@@ -1065,119 +1055,65 @@ Status PrebuildHashStates(const PhysOp* root, Frame* frame, ExecContext* ctx,
     HashJoinLayout layout = MakeHashJoinLayout(*cur);
     const PhysOp* build_child =
         layout.build_is_left ? cur->child.get() : cur->right.get();
-    // Build sides are drained fully, so they may run batched.
-    std::unique_ptr<FrameIter> build = ChildIter(
-        build_child, ctx->op_actuals != nullptr, ctx, /*allow_batch=*/true);
+    std::unique_ptr<FrameIter> build = BuildIter(build_child, ctx);
     TAURUS_RETURN_IF_ERROR(FillHashJoinState(
         *cur, layout, build.get(), frame, ctx, &shared->hash_states[cur]));
   }
   return Status::OK();
 }
 
-/// A worker-private clone of the driving iterator chain: hash joins probe
-/// the shared states, NL-join inner sides are private (re-opened per driver
-/// row, as in the serial executor), and the driver scan is returned through
-/// `driver_out` so the worker can reposition it per morsel.
-std::unique_ptr<FrameIter> BuildWorkerChain(const PhysOp* op,
-                                            const PipelineShared& shared,
-                                            TableScanIter** driver_out,
-                                            bool analyze, ExecContext* ctx) {
-  switch (op->kind) {
-    case PhysOp::Kind::kTableScan: {
-      auto scan = std::make_unique<TableScanIter>(op);
-      // Capture the raw driver before any analyze wrapping: the worker
-      // repositions it per morsel through this pointer. Under analyze the
-      // driver's loops therefore count morsels processed (summed shard-wise).
-      *driver_out = scan.get();
-      return Analyzed(analyze, op, std::move(scan));
-    }
-    case PhysOp::Kind::kFilter:
-      return Analyzed(analyze, op,
-                      std::make_unique<FilterIter>(
-                          op, BuildWorkerChain(op->child.get(), shared,
-                                               driver_out, analyze, ctx)));
-    case PhysOp::Kind::kNLJoin: {
-      const JoinType jt = op->join_type;
-      const bool right_allow = jt == JoinType::kInner ||
-                               jt == JoinType::kCross || jt == JoinType::kLeft;
-      return Analyzed(
-          analyze, op,
-          std::make_unique<NLJoinIter>(
-              op,
-              BuildWorkerChain(op->child.get(), shared, driver_out, analyze,
-                               ctx),
-              ChildIter(op->right.get(), analyze, ctx, right_allow)));
-    }
-    case PhysOp::Kind::kHashJoin: {
-      auto it = shared.hash_states.find(op);
-      if (it == shared.hash_states.end()) return nullptr;
-      auto probe = BuildWorkerChain(DrivingChild(*op), shared, driver_out,
-                                    analyze, ctx);
-      if (probe == nullptr) return nullptr;
-      return Analyzed(analyze, op,
-                      std::make_unique<HashJoinIter>(op, std::move(probe),
-                                                     &it->second));
-    }
-    default:
-      return nullptr;  // not a driving-path operator
-  }
-}
-
-/// Per-morsel stage-A results, merged on the main thread in morsel order.
-struct ParallelOut {
-  bool engaged = false;
-  /// Prebuilt hash build sides; merged groups borrow rows from them.
-  PipelineShared shared;
+/// What a pipeline's sink collects, per shape: one per morsel on the
+/// parallel path (merged on the main thread in morsel order), one for the
+/// whole block on the serial path.
+struct PipeOut {
   GroupByState agg;
   std::vector<SortUnit> sort_units;
   std::vector<Row> rows;
 };
 
-/// One worker's processing of one morsel's pipeline output.
-Status ConsumeMorsel(PipeMode mode, const BlockPlan& plan, FrameIter* chain,
-                     Frame* frame, ExecContext* shard, GroupByState* agg,
-                     std::vector<SortUnit>* sort_units,
-                     std::vector<Row>* rows) {
-  while (true) {
-    TAURUS_ASSIGN_OR_RETURN(bool has, chain->Next(frame, shard));
-    if (!has) return Status::OK();
+/// Row sink: drains a Volcano chain into `out`. A plain pipeline stops
+/// once it holds `row_limit` rows (-1 drains fully): the LIMIT early exit
+/// refine keeps such blocks serial and row-at-a-time for.
+Status ConsumeRows(PipeMode mode, const BlockPlan& plan, FrameIter* chain,
+                   Frame* frame, ExecContext* ctx, int64_t row_limit,
+                   PipeOut* out) {
+  while (row_limit < 0 || static_cast<int64_t>(out->rows.size()) < row_limit) {
+    TAURUS_ASSIGN_OR_RETURN(bool has, chain->Next(frame, ctx));
+    if (!has) break;
     switch (mode) {
       case PipeMode::kAgg:
-        TAURUS_RETURN_IF_ERROR(agg->Consume(*frame, shard));
+        TAURUS_RETURN_IF_ERROR(out->agg.Consume(*frame, ctx));
         break;
       case PipeMode::kSort: {
         SortUnit u;
         for (const auto& [e, a] : plan.order_keys) {
-          TAURUS_ASSIGN_OR_RETURN(Value v,
-                                  EvalExpr(*e, *frame, nullptr, shard));
+          TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, *frame, nullptr, ctx));
           u.sort_key.push_back(std::move(v));
         }
         u.frame = OwnedFrame(*frame);
-        sort_units->push_back(std::move(u));
+        out->sort_units.push_back(std::move(u));
         break;
       }
       case PipeMode::kPlain: {
         Row row;
         for (const Expr* p : plan.projections) {
-          TAURUS_ASSIGN_OR_RETURN(Value v,
-                                  EvalExpr(*p, *frame, nullptr, shard));
+          TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, *frame, nullptr, ctx));
           row.push_back(std::move(v));
         }
-        rows->push_back(std::move(row));
+        out->rows.push_back(std::move(row));
         break;
       }
     }
   }
+  return Status::OK();
 }
 
-/// Batch-mode ConsumeMorsel: drains a batch chain into the same per-shape
-/// sinks, evaluating order keys / projections as whole vectors. Row order
+/// Batch sink: drains a batch chain into the same per-shape outputs,
+/// evaluating order keys / projections as whole vectors. Row order
 /// (selection order) matches the Volcano chain's emission order exactly, so
 /// groups, sort stability and plain output are bit-identical.
 Status ConsumeBatches(PipeMode mode, const BlockPlan& plan, BatchOp* chain,
-                      ExecContext* ctx, GroupByState* agg,
-                      std::vector<SortUnit>* sort_units,
-                      std::vector<Row>* rows) {
+                      ExecContext* ctx, PipeOut* out) {
   Frame scratch;
   while (true) {
     TAURUS_ASSIGN_OR_RETURN(Batch* b, chain->NextBatch(ctx));
@@ -1186,7 +1122,7 @@ Status ConsumeBatches(PipeMode mode, const BlockPlan& plan, BatchOp* chain,
     ctx->batch_rows += static_cast<int64_t>(b->sel.size());
     switch (mode) {
       case PipeMode::kAgg:
-        TAURUS_RETURN_IF_ERROR(agg->ConsumeBatch(*b, ctx));
+        TAURUS_RETURN_IF_ERROR(out->agg.ConsumeBatch(*b, ctx));
         break;
       case PipeMode::kSort: {
         const size_t nk = plan.order_keys.size();
@@ -1204,7 +1140,7 @@ Status ConsumeBatches(PipeMode mode, const BlockPlan& plan, BatchOp* chain,
           }
           b->FillFrame(b->sel[i], &scratch);
           u.frame = OwnedFrame(scratch);
-          sort_units->push_back(std::move(u));
+          out->sort_units.push_back(std::move(u));
         }
         break;
       }
@@ -1219,7 +1155,7 @@ Status ConsumeBatches(PipeMode mode, const BlockPlan& plan, BatchOp* chain,
           Row row;
           row.reserve(np);
           for (size_t p = 0; p < np; ++p) row.push_back(std::move(pcols[p][i]));
-          rows->push_back(std::move(row));
+          out->rows.push_back(std::move(row));
         }
         break;
       }
@@ -1229,13 +1165,14 @@ Status ConsumeBatches(PipeMode mode, const BlockPlan& plan, BatchOp* chain,
 
 /// Attempts to run the block's driving pipeline morsel-parallel. Returns
 /// false when a runtime gate keeps it serial (no pool, small driver table,
-/// DOP < 2, pool busy); true with `out->engaged` set when the parallel
-/// pipeline ran. Errors from workers (including deterministic budget kills
-/// through the shared atomic row counter) propagate with the smallest
-/// morsel index winning, so failures are reproducible too.
+/// DOP < 2, pool busy); true when the parallel pipeline ran and its merged
+/// output is in `out`. The hash build sides land in `shared`, which merged
+/// groups borrow rows from. Errors from workers (including deterministic
+/// budget kills through the shared atomic row counter) propagate with the
+/// smallest morsel index winning, so failures are reproducible too.
 Result<bool> TryParallelPipeline(const BlockPlan& plan, const Frame& outer,
                                  ExecContext* ctx, PipeMode mode,
-                                 ParallelOut* out) {
+                                 PipelineShared* shared, PipeOut* out) {
   const PhysOp* driver = FindDriverScan(plan.join_root.get());
   if (driver == nullptr) return false;
   const TableData* data = ctx->storage->Get(driver->leaf->table->id);
@@ -1250,29 +1187,25 @@ Result<bool> TryParallelPipeline(const BlockPlan& plan, const Frame& outer,
 
   // Build sides run once, serially, with the root context (they may hold
   // derived tables, subqueries, anything — the workers never re-enter them).
-  PipelineShared& shared = out->shared;
   {
     Frame build_frame = outer;
     TAURUS_RETURN_IF_ERROR(
-        PrebuildHashStates(plan.join_root.get(), &build_frame, ctx, &shared));
+        PrebuildHashStates(plan.join_root.get(), &build_frame, ctx, shared));
   }
 
   // Per-morsel output slots: workers write disjoint indices, the main
   // thread reads only after the pool joins, so no locking is needed and
   // the merged result is independent of scheduling.
   const size_t nm = static_cast<size_t>(num_morsels);
-  std::vector<GroupByState> agg_parts(mode == PipeMode::kAgg ? nm : 0);
-  for (GroupByState& s : agg_parts) s.InitPartial(&plan);
-  std::vector<std::vector<SortUnit>> sort_parts(
-      mode == PipeMode::kSort ? nm : 0);
-  std::vector<std::vector<Row>> row_parts(mode == PipeMode::kPlain ? nm : 0);
+  std::vector<PipeOut> parts(nm);
+  for (PipeOut& part : parts) part.agg.InitPartial(&plan);
   std::vector<Status> morsel_status(nm, Status::OK());
   std::vector<Status> worker_status(static_cast<size_t>(dop), Status::OK());
   std::unique_ptr<ExecContext[]> shards(new ExecContext[dop]);
 
   std::atomic<int64_t> next_morsel{0};
   std::atomic<bool> abort{false};
-  std::atomic<bool> used_batch{false};
+  const bool batch = plan.batch_eligible && ctx->use_batch;
 
   // Executor profiling (DESIGN.md section 15): each worker times its own
   // slot — no synchronization — and the main thread computes idle time
@@ -1286,31 +1219,26 @@ Result<bool> TryParallelPipeline(const BlockPlan& plan, const Frame& outer,
   auto worker = [&](int w) {
     ExecContext* shard = &shards[w];
     ctx->InitShard(shard);
-    // Batch-eligible pipelines run each worker's morsels through a private
-    // vectorized chain probing the same shared hash states. Any worker that
-    // cannot build one (defensive) falls back to the Volcano clone — both
-    // consume morsels from the same queue with identical per-morsel output.
-    BatchChain bchain;
-    if (plan.batch_eligible) {
-      bchain = BuildBatchChain(plan.join_root.get(), shard, &shared);
-      if (bchain.root == nullptr || bchain.driver == nullptr ||
-          bchain.driver->Op() != driver) {
-        bchain.root.reset();
-      }
-    }
-    TableScanIter* scan = nullptr;
+    // Each worker runs its morsels through a private clone of the driving
+    // chain probing the shared hash states: vectorized when refine marked
+    // the block batch-eligible, row-at-a-time otherwise.
+    std::unique_ptr<BatchOp> bchain;
+    BatchTableScan* bscan = nullptr;
     std::unique_ptr<FrameIter> chain;
-    if (bchain.root != nullptr) {
-      used_batch.store(true, std::memory_order_relaxed);
+    TableScanIter* scan = nullptr;
+    const PhysOp* built = nullptr;
+    if (batch) {
+      bchain = BuildBatchChain(plan.join_root.get(), shard, shared, &bscan);
+      if (bchain != nullptr && bscan != nullptr) built = bscan->Op();
     } else {
-      chain = BuildWorkerChain(plan.join_root.get(), shared, &scan,
-                               shard->op_actuals != nullptr, shard);
-      if (chain == nullptr || scan == nullptr || scan->Op() != driver) {
-        worker_status[static_cast<size_t>(w)] =
-            Status::Internal("worker chain build failed");
-        abort.store(true, std::memory_order_relaxed);
-        return;
-      }
+      chain = BuildIter(plan.join_root.get(), shard, shared, &scan);
+      if (chain != nullptr && scan != nullptr) built = scan->Op();
+    }
+    if (built != driver) {
+      worker_status[static_cast<size_t>(w)] =
+          Status::Internal("worker chain build failed");
+      abort.store(true, std::memory_order_relaxed);
+      return;
     }
     Frame frame = outer;
     WorkerProfile* profile =
@@ -1320,40 +1248,29 @@ Result<bool> TryParallelPipeline(const BlockPlan& plan, const Frame& outer,
       if (m >= num_morsels) break;
       const size_t begin = static_cast<size_t>(m * morsel);
       const size_t end = static_cast<size_t>(std::min(total, (m + 1) * morsel));
-      const size_t mi = static_cast<size_t>(m);
+      PipeOut* part = &parts[static_cast<size_t>(m)];
       const double morsel_start =
           profile != nullptr ? profile_clock->NowMs() : 0.0;
       Status st;
-      if (bchain.root != nullptr) {
-        bchain.driver->SetRange(begin, end);
-        st = bchain.root->Open(&frame, shard);
-        if (st.ok()) {
-          st = ConsumeBatches(
-              mode, plan, bchain.root.get(), shard,
-              mode == PipeMode::kAgg ? &agg_parts[mi] : nullptr,
-              mode == PipeMode::kSort ? &sort_parts[mi] : nullptr,
-              mode == PipeMode::kPlain ? &row_parts[mi] : nullptr);
-        }
+      if (batch) {
+        bscan->SetRange(begin, end);
+        st = bchain->Open(&frame, shard);
+        if (st.ok()) st = ConsumeBatches(mode, plan, bchain.get(), shard, part);
       } else {
         scan->SetRange(begin, end);
         st = chain->Open(&frame, shard);
         if (st.ok()) {
-          st = ConsumeMorsel(
-              mode, plan, chain.get(), &frame, shard,
-              mode == PipeMode::kAgg ? &agg_parts[mi] : nullptr,
-              mode == PipeMode::kSort ? &sort_parts[mi] : nullptr,
-              mode == PipeMode::kPlain ? &row_parts[mi] : nullptr);
+          st = ConsumeRows(mode, plan, chain.get(), &frame, shard,
+                           /*row_limit=*/-1, part);
         }
       }
       if (profile != nullptr) {
         profile->busy_ms += profile_clock->NowMs() - morsel_start;
         ++profile->morsels;
-        // Driver rows processed this morsel, attributed to the chain that
-        // consumed them (batch vs Volcano fallback).
+        // Driver rows processed this morsel, by the engine that ran them.
         const int64_t driver_rows =
             static_cast<int64_t>(end) - static_cast<int64_t>(begin);
-        (bchain.root != nullptr ? profile->batch_rows
-                                : profile->volcano_rows) += driver_rows;
+        (batch ? profile->batch_rows : profile->volcano_rows) += driver_rows;
       }
       if (!st.ok()) {
         morsel_status[static_cast<size_t>(m)] = std::move(st);
@@ -1365,7 +1282,7 @@ Result<bool> TryParallelPipeline(const BlockPlan& plan, const Frame& outer,
 
   const double pipeline_start = profiled ? profile_clock->NowMs() : 0.0;
   if (!ctx->pool->TryRun(dop, worker)) {  // pool busy: go serial
-    shared = PipelineShared();
+    *shared = PipelineShared();
     return false;
   }
   if (profiled) {
@@ -1387,36 +1304,18 @@ Result<bool> TryParallelPipeline(const BlockPlan& plan, const Frame& outer,
     if (!st.ok()) return st;
   }
 
-  switch (mode) {
-    case PipeMode::kAgg: {
-      out->agg.Init(&plan);
-      bool first = true;
-      for (GroupByState& part : agg_parts) {
-        if (first) {
-          out->agg = std::move(part);
-          first = false;
-        } else {
-          out->agg.Merge(std::move(part));
-        }
-      }
-      break;
+  out->agg = std::move(parts[0].agg);
+  for (size_t i = 0; i < nm; ++i) {
+    if (i > 0) out->agg.Merge(std::move(parts[i].agg));
+    for (SortUnit& u : parts[i].sort_units) {
+      out->sort_units.push_back(std::move(u));
     }
-    case PipeMode::kSort:
-      for (std::vector<SortUnit>& part : sort_parts) {
-        for (SortUnit& u : part) out->sort_units.push_back(std::move(u));
-      }
-      break;
-    case PipeMode::kPlain:
-      for (std::vector<Row>& part : row_parts) {
-        for (Row& r : part) out->rows.push_back(std::move(r));
-      }
-      break;
+    for (Row& r : parts[i].rows) out->rows.push_back(std::move(r));
   }
 
   ++ctx->parallel_pipelines;
-  if (used_batch.load(std::memory_order_relaxed)) ++ctx->batch_pipelines;
+  if (batch) ++ctx->batch_pipelines;
   ctx->max_workers_used = std::max(ctx->max_workers_used, dop);
-  out->engaged = true;
   return true;
 }
 
@@ -1461,111 +1360,52 @@ Result<std::vector<Row>> ExecuteSingle(const BlockPlan& plan,
                             ? PipeMode::kAgg
                             : (has_order ? PipeMode::kSort : PipeMode::kPlain);
 
-  // ---- Parallel attempt (stage A via the morsel-driven pipeline). ----
-  ParallelOut par;
+  // ---- Driving pipeline: morsel-parallel when refine marked it eligible
+  // and the runtime gates agree, else serial. Either way it runs batched
+  // exactly when refine marked it batch-eligible and the knob is on. ----
+  PipelineShared shared;  // outlives the merged groups that borrow from it
+  PipeOut out;
+  out.agg.Init(&plan);
+  bool parallel = false;
   if (plan.join_root != nullptr && plan.parallel_eligible &&
-      ctx->pool != nullptr && !ctx->is_worker_shard &&
-      !(mode == PipeMode::kPlain && has_limit && !plan.distinct)) {
-    TAURUS_ASSIGN_OR_RETURN(bool engaged,
-                            TryParallelPipeline(plan, outer, ctx, mode, &par));
-    (void)engaged;
+      ctx->pool != nullptr && !ctx->is_worker_shard) {
+    TAURUS_ASSIGN_OR_RETURN(
+        parallel, TryParallelPipeline(plan, outer, ctx, mode, &shared, &out));
   }
-
-  // ---- Serial pipeline: vectorized when anything on the driving chain
-  // speaks batches (the whole chain, or a native prefix over a
-  // Frame->Batch source); otherwise the Volcano chain, which may still
-  // graft batch segments behind adapters (hash-join build sides, NL-join
-  // inner sides). Plain blocks with a row limit drain lazily, so batching
-  // would overrun the scan budget — they stay row-at-a-time.
-  const bool allow_batch_top =
-      !(mode == PipeMode::kPlain && has_limit && !plan.distinct);
-  std::unique_ptr<FrameIter> iter;
-  BatchChain bchain;
-  if (plan.join_root != nullptr && !par.engaged) {
-    if (allow_batch_top) {
-      bchain = BuildBatchChain(plan.join_root.get(), ctx, nullptr);
-      if (bchain.root != nullptr && bchain.native_ops == 0) bchain.root.reset();
-    }
-    if (bchain.root != nullptr) {
-      ++ctx->batch_pipelines;
-      TAURUS_RETURN_IF_ERROR(bchain.root->Open(&frame, ctx));
-    } else {
-      iter = BuildIter(plan.join_root.get(), analyze, ctx, allow_batch_top);
-      TAURUS_RETURN_IF_ERROR(iter->Open(&frame, ctx));
-    }
+  // The serial chains live until the block is finished: `frame` may still
+  // point at rows they own when an empty scalar aggregate copies it.
+  std::unique_ptr<BatchOp> bchain;
+  std::unique_ptr<FrameIter> chain;
+  if (plan.join_root == nullptr) {
+    TAURUS_RETURN_IF_ERROR(out.agg.Consume(frame, ctx));
+  } else if (!parallel && plan.batch_eligible && ctx->use_batch) {
+    bchain = BuildBatchChain(plan.join_root.get(), ctx);
+    if (bchain == nullptr) return Status::Internal("batch chain build failed");
+    ++ctx->batch_pipelines;
+    TAURUS_RETURN_IF_ERROR(bchain->Open(&frame, ctx));
+    TAURUS_RETURN_IF_ERROR(ConsumeBatches(mode, plan, bchain.get(), ctx, &out));
+  } else if (!parallel) {
+    chain = BuildIter(plan.join_root.get(), ctx);
+    TAURUS_RETURN_IF_ERROR(chain->Open(&frame, ctx));
+    const int64_t row_limit = mode == PipeMode::kPlain && has_limit &&
+                                      !plan.distinct
+                                  ? plan.offset + plan.limit
+                                  : -1;
+    TAURUS_RETURN_IF_ERROR(
+        ConsumeRows(mode, plan, chain.get(), &frame, ctx, row_limit, &out));
   }
 
   if (mode == PipeMode::kAgg) {
-    // ---- Aggregation path (hash or sort+stream; same results). ----
-    GroupByState state;
-    if (par.engaged) {
-      state = std::move(par.agg);
-    } else {
-      state.Init(&plan);
-      if (bchain.root != nullptr) {
-        TAURUS_RETURN_IF_ERROR(ConsumeBatches(mode, plan, bchain.root.get(),
-                                              ctx, &state, nullptr, nullptr));
-      } else if (iter != nullptr) {
-        while (true) {
-          TAURUS_ASSIGN_OR_RETURN(bool has, iter->Next(&frame, ctx));
-          if (!has) break;
-          TAURUS_RETURN_IF_ERROR(state.Consume(frame, ctx));
-        }
-      } else {
-        TAURUS_RETURN_IF_ERROR(state.Consume(frame, ctx));
-      }
-    }
-    if (state.empty() && plan.group_exprs.empty()) {
-      state.AddEmptyScalarGroup(frame);
+    if (out.agg.empty() && plan.group_exprs.empty()) {
+      out.agg.AddEmptyScalarGroup(frame);
     }
     TAURUS_RETURN_IF_ERROR(
-        FinishAgg(plan, state.Finalize(), ctx, has_order, &output));
+        FinishAgg(plan, out.agg.Finalize(), ctx, has_order, &output));
   } else if (mode == PipeMode::kSort) {
-    // ---- Materialize, sort, project. ----
-    std::vector<SortUnit> units;
-    if (par.engaged) {
-      units = std::move(par.sort_units);
-    } else if (bchain.root != nullptr) {
-      TAURUS_RETURN_IF_ERROR(ConsumeBatches(mode, plan, bchain.root.get(), ctx,
-                                            nullptr, &units, nullptr));
-    } else {
-      while (iter != nullptr) {
-        TAURUS_ASSIGN_OR_RETURN(bool has, iter->Next(&frame, ctx));
-        if (!has) break;
-        SortUnit u;
-        for (const auto& [e, a] : plan.order_keys) {
-          TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, frame, nullptr, ctx));
-          u.sort_key.push_back(std::move(v));
-        }
-        u.frame = OwnedFrame(frame);
-        units.push_back(std::move(u));
-      }
-    }
-    TAURUS_RETURN_IF_ERROR(FinishSort(plan, std::move(units), ctx, &output));
-  } else if (par.engaged) {
-    output = std::move(par.rows);
-  } else if (bchain.root != nullptr) {
-    // ---- Streaming projection, vectorized (full drain: no LIMIT here
-    // unless DISTINCT forces one anyway). ----
-    TAURUS_RETURN_IF_ERROR(ConsumeBatches(mode, plan, bchain.root.get(), ctx,
-                                          nullptr, nullptr, &output));
+    TAURUS_RETURN_IF_ERROR(
+        FinishSort(plan, std::move(out.sort_units), ctx, &output));
   } else {
-    // ---- Streaming projection with early LIMIT exit. ----
-    int64_t want = has_limit ? plan.offset + plan.limit : -1;
-    while (iter != nullptr) {
-      if (want >= 0 && static_cast<int64_t>(output.size()) >= want &&
-          !plan.distinct) {
-        break;
-      }
-      TAURUS_ASSIGN_OR_RETURN(bool has, iter->Next(&frame, ctx));
-      if (!has) break;
-      Row row;
-      for (const Expr* p : plan.projections) {
-        TAURUS_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, frame, nullptr, ctx));
-        row.push_back(std::move(v));
-      }
-      output.push_back(std::move(row));
-    }
+    output = std::move(out.rows);
   }
 
   // DISTINCT.

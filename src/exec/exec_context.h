@@ -94,7 +94,7 @@ struct ExecContext {
   int64_t batch_size = 1024;
 
   // Batch-execution stats, merged into QueryResult by the engine.
-  int batch_pipelines = 0;   ///< pipelines (or grafted segments) run batched
+  int batch_pipelines = 0;   ///< driving pipelines run batched
   int64_t batches = 0;       ///< batches emitted to consumers
   int64_t batch_rows = 0;    ///< selected rows across those batches
 

@@ -4,8 +4,8 @@
 // Internals shared between the row-at-a-time Volcano executor
 // (block_executor.cc) and the vectorized batch executor
 // (batch_executor.cc): the iterator interface, the hash-join build
-// machinery (one build, probed by either engine), and the driving-path
-// helpers. Not part of the public executor API.
+// machinery (one Volcano build, probed by either engine), and the
+// driving-path helpers. Not part of the public executor API.
 
 #include <memory>
 #include <string>
@@ -83,18 +83,16 @@ struct PipelineShared {
   std::unordered_map<const PhysOp*, HashJoinShared> hash_states;
 };
 
-/// Builds the Volcano iterator tree for `op`. When `allow_batch` is set
-/// (the consumer drains the subtree fully — no LIMIT-style early exit) and
-/// `ctx->use_batch` is on, batch-native subtrees are grafted in behind a
-/// Batch→Frame adapter so even Volcano-headed plans run their hot segments
-/// vectorized. `ctx` may be null (knob treated as off).
-std::unique_ptr<FrameIter> BuildIter(const PhysOp* op, bool analyze,
-                                     ExecContext* ctx, bool allow_batch);
+class TableScanIter;
 
-/// BuildIter for a child subtree position: wraps the whole subtree in a
-/// Batch→Frame adapter when it is fully batch-native (and `allow_batch`).
-std::unique_ptr<FrameIter> ChildIter(const PhysOp* op, bool analyze,
-                                     ExecContext* ctx, bool allow_batch);
+/// Builds the row-at-a-time (Volcano) iterator tree for `op`. With `shared`
+/// (a morsel worker's clone), hash joins on the driving path probe its
+/// prebuilt states and `driver` receives the driving scan, which the worker
+/// repositions per morsel. Hash-join build sides and nested-loop inner sides
+/// are always built plain.
+std::unique_ptr<FrameIter> BuildIter(const PhysOp* op, ExecContext* ctx,
+                                     const PipelineShared* shared = nullptr,
+                                     TableScanIter** driver = nullptr);
 
 }  // namespace taurus
 

@@ -73,8 +73,8 @@ struct PhysOp {
 
   /// True when this operator has a vectorized (batch-at-a-time)
   /// implementation: table scans, filters, and hash-join probes of
-  /// batchable shape (see HashJoinBatchNative). Set by refine-time
-  /// AnalyzeBatchSafety; surfaced in EXPLAIN.
+  /// batchable shape. Set by refine-time AnalyzeBatchSafety; the batch
+  /// chain builder follows it, and EXPLAIN surfaces it.
   bool batch_native = false;
   /// Why the operator stays row-at-a-time ("" when batch_native).
   std::string batch_serial_reason;
@@ -138,10 +138,9 @@ struct BlockPlan {
 
   /// True when the block's whole driving chain (join_root down its probe
   /// path to the driving TableScan) is batch-native end to end, so the
-  /// executor can run it vectorized — including under morsel-driven
-  /// workers. The executor may still run partial batch segments behind
-  /// adapters when this is false; the flag drives EXPLAIN surfacing and
-  /// the worker-chain fast path.
+  /// executor runs it vectorized (with ExecutorConfig::enable_batch on),
+  /// serially or on morsel-driven workers. When false the whole pipeline
+  /// runs row-at-a-time; EXPLAIN surfaces the flag.
   bool batch_eligible = false;
   /// Why the driving chain stays row-at-a-time ("" when batch_eligible).
   std::string batch_serial_reason;

@@ -16,14 +16,10 @@ bool IsColumnOf(const Expr& e, const TableRef& leaf) {
 /// True when `e` reads no leaf except bound ones, and not `leaf` itself.
 bool ReadsOnlyBound(const Expr& e, const TableRef& leaf,
                     const std::vector<bool>& bound) {
-  std::vector<bool> refs(bound.size(), false);
-  CollectReferencedRefs(e, &refs);
-  for (size_t r = 0; r < refs.size(); ++r) {
-    if (refs[r] && (!bound[r] || static_cast<int>(r) == leaf.ref_id)) {
-      return false;
-    }
-  }
-  return true;
+  return VisitReferencedRefs(e, [&](int r) {
+    return r < 0 || static_cast<size_t>(r) >= bound.size() ||
+           (bound[static_cast<size_t>(r)] && r != leaf.ref_id);
+  });
 }
 
 /// Cost of one index lookup on `leaf` keyed on its column `column_idx`:

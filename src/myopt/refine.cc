@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/fault_injector.h"
-#include "exec/batch_executor.h"
 #include "exec/exec_internal.h"
 #include "exec/expr_eval.h"
 #include "myopt/access_path.h"
@@ -123,6 +122,15 @@ void CollectOpExprs(const PhysOp& op, bool* has_derived,
   if (op.right != nullptr) CollectOpExprs(*op.right, has_derived, out);
 }
 
+/// A plain streaming block with a row limit stops reading at the limit, so
+/// its pipeline stays serial and row-at-a-time. A UNION head's LIMIT applies
+/// after the union, and the executor drains the head fully.
+bool StopsAtRowLimit(const BlockPlan& plan) {
+  return plan.limit >= 0 && plan.union_arms.empty() &&
+         plan.agg_mode == AggMode::kNone &&
+         (plan.order_keys.empty() || plan.order_satisfied) && !plan.distinct;
+}
+
 /// Decides whether the block's driving pipeline is safe for the
 /// morsel-driven parallel executor and records the verdict (or the reason
 /// it must stay serial) on the plan. The walk mirrors the executor's
@@ -147,6 +155,13 @@ void AnalyzeParallelSafety(BlockPlan* plan, int num_refs) {
   const PhysOp* cur = plan->join_root.get();
   const PhysOp* driver = nullptr;
   while (cur != nullptr && driver == nullptr) {
+    if ((cur->kind == PhysOp::Kind::kHashJoin ||
+         cur->kind == PhysOp::Kind::kNLJoin) &&
+        (cur->join_type == JoinType::kSemi ||
+         cur->join_type == JoinType::kAntiSemi)) {
+      plan->serial_reason = "semi/anti-join probe pipeline";
+      return;
+    }
     switch (cur->kind) {
       case PhysOp::Kind::kTableScan:
         for (const Expr* e : cur->filters) worker_exprs.push_back(e);
@@ -157,11 +172,6 @@ void AnalyzeParallelSafety(BlockPlan* plan, int num_refs) {
         cur = cur->child.get();
         break;
       case PhysOp::Kind::kHashJoin: {
-        if (cur->join_type == JoinType::kSemi ||
-            cur->join_type == JoinType::kAntiSemi) {
-          plan->serial_reason = "semi/anti-join probe pipeline";
-          return;
-        }
         for (const Expr* e : cur->conds) worker_exprs.push_back(e);
         for (const auto& [l, r] : cur->hash_keys) {
           worker_exprs.push_back(l);
@@ -176,11 +186,6 @@ void AnalyzeParallelSafety(BlockPlan* plan, int num_refs) {
         break;
       }
       case PhysOp::Kind::kNLJoin: {
-        if (cur->join_type == JoinType::kSemi ||
-            cur->join_type == JoinType::kAntiSemi) {
-          plan->serial_reason = "semi/anti-join probe pipeline";
-          return;
-        }
         for (const Expr* e : cur->conds) worker_exprs.push_back(e);
         // The inner side re-opens per driver row on the worker.
         CollectOpExprs(*cur->right, &worker_derived, &worker_exprs);
@@ -247,11 +252,8 @@ void AnalyzeParallelSafety(BlockPlan* plan, int num_refs) {
     }
   }
 
-  // A plain streaming pipeline with a row limit short-circuits the scan;
-  // splitting it would trade the early exit for wasted whole-table work.
-  if (plan->limit >= 0 && plan->agg_mode == AggMode::kNone &&
-      (plan->order_keys.empty() || plan->order_satisfied) &&
-      !plan->distinct) {
+  // Splitting it would trade the early exit for wasted whole-table work.
+  if (StopsAtRowLimit(*plan)) {
     plan->serial_reason = "row-limit early exit";
     return;
   }
@@ -279,13 +281,16 @@ void MarkBatchNative(PhysOp* op) {
       op->batch_native = true;
       break;
     case PhysOp::Kind::kHashJoin:
-      if (HashJoinBatchNative(*op)) {
-        op->batch_native = true;
-      } else if (op->join_type == JoinType::kSemi ||
-                 op->join_type == JoinType::kAntiSemi) {
+      // The vectorized probe tracks no per-row match state: inner/cross run
+      // residual conds as a post-emit filter, and an unconditional left
+      // join's probe row matched iff its candidate list is nonempty.
+      if (op->join_type == JoinType::kSemi ||
+          op->join_type == JoinType::kAntiSemi) {
         op->batch_serial_reason = "semi/anti hash probe";
-      } else {
+      } else if (op->join_type == JoinType::kLeft && !op->conds.empty()) {
         op->batch_serial_reason = "left hash join with residual condition";
+      } else {
+        op->batch_native = true;
       }
       break;
     case PhysOp::Kind::kNLJoin:
@@ -304,9 +309,8 @@ void MarkBatchNative(PhysOp* op) {
 }
 
 /// Decides whether the block's driving chain (join_root down the probe path
-/// to the driving TableScan) is batch-native end to end. Mirrors the
-/// executor's BuildBatchChain strict-mode descent; the executor may still
-/// run partial segments behind Frame adapters when this says no.
+/// to the driving TableScan) is batch-native end to end. The executor runs
+/// the pipeline batch-at-a-time exactly when this says yes.
 void AnalyzeBatchSafety(BlockPlan* plan) {
   plan->batch_eligible = false;
   plan->batch_serial_reason.clear();
@@ -315,14 +319,9 @@ void AnalyzeBatchSafety(BlockPlan* plan) {
     return;
   }
   MarkBatchNative(plan->join_root.get());
-  for (auto& arm : plan->union_arms) AnalyzeBatchSafety(arm.get());
 
-  // A plain streaming pipeline with a row limit stops mid-scan; batching
-  // would overcharge the scan budget past the early exit, so the executor
-  // keeps it row-at-a-time.
-  if (plan->limit >= 0 && plan->agg_mode == AggMode::kNone &&
-      (plan->order_keys.empty() || plan->order_satisfied) &&
-      !plan->distinct) {
+  // Batching would overcharge the scan budget past the early exit.
+  if (StopsAtRowLimit(*plan)) {
     plan->batch_serial_reason = "row-limit early exit";
     return;
   }

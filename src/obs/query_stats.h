@@ -31,8 +31,8 @@ struct QueryStats : CompileStats {
   int parallel_workers_used = 1;
   /// How many pipelines ran through the morsel-driven parallel executor.
   int parallel_pipelines = 0;
-  /// How many pipelines (or grafted pipeline segments) ran vectorized
-  /// through the batch executor (DESIGN.md section 13).
+  /// How many driving pipelines ran vectorized through the batch
+  /// executor (DESIGN.md section 13).
   int batch_pipelines = 0;
   /// Batches emitted / selected rows carried by those batches.
   int64_t batches = 0;

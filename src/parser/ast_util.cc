@@ -60,41 +60,55 @@ bool ExprEquals(const Expr& a, const Expr& b) {
 
 namespace {
 
-void CollectFromBlock(const QueryBlock& block, std::vector<bool>* refs);
+using RefVisitor = std::function<bool(int)>;
 
-void CollectFromTableRef(const TableRef& ref, std::vector<bool>* refs) {
+bool VisitBlockRefs(const QueryBlock& block, const RefVisitor& visit);
+
+bool VisitTableRefRefs(const TableRef& ref, const RefVisitor& visit) {
   if (ref.kind == TableRef::Kind::kJoin) {
-    if (ref.on) CollectReferencedRefs(*ref.on, refs);
-    CollectFromTableRef(*ref.left, refs);
-    CollectFromTableRef(*ref.right, refs);
-  } else if (ref.kind == TableRef::Kind::kDerived) {
-    CollectFromBlock(*ref.derived, refs);
+    return (!ref.on || VisitReferencedRefs(*ref.on, visit)) &&
+           VisitTableRefRefs(*ref.left, visit) &&
+           VisitTableRefRefs(*ref.right, visit);
   }
+  return ref.kind != TableRef::Kind::kDerived ||
+         VisitBlockRefs(*ref.derived, visit);
 }
 
-void CollectFromBlock(const QueryBlock& block, std::vector<bool>* refs) {
+bool VisitBlockRefs(const QueryBlock& block, const RefVisitor& visit) {
   for (const auto& item : block.select_items) {
-    CollectReferencedRefs(*item.expr, refs);
+    if (!VisitReferencedRefs(*item.expr, visit)) return false;
   }
-  if (block.where) CollectReferencedRefs(*block.where, refs);
-  if (block.having) CollectReferencedRefs(*block.having, refs);
-  for (const auto& g : block.group_by) CollectReferencedRefs(*g, refs);
-  for (const auto& o : block.order_by) CollectReferencedRefs(*o.expr, refs);
-  for (const auto& t : block.from) CollectFromTableRef(*t, refs);
-  if (block.union_next) CollectFromBlock(*block.union_next, refs);
+  if (block.where && !VisitReferencedRefs(*block.where, visit)) return false;
+  if (block.having && !VisitReferencedRefs(*block.having, visit)) return false;
+  for (const auto& g : block.group_by) {
+    if (!VisitReferencedRefs(*g, visit)) return false;
+  }
+  for (const auto& o : block.order_by) {
+    if (!VisitReferencedRefs(*o.expr, visit)) return false;
+  }
+  for (const auto& t : block.from) {
+    if (!VisitTableRefRefs(*t, visit)) return false;
+  }
+  return !block.union_next || VisitBlockRefs(*block.union_next, visit);
 }
 
 }  // namespace
 
-void CollectReferencedRefs(const Expr& expr, std::vector<bool>* refs) {
-  if (expr.kind == Expr::Kind::kColumnRef && expr.ref_id >= 0 &&
-      static_cast<size_t>(expr.ref_id) < refs->size()) {
-    (*refs)[static_cast<size_t>(expr.ref_id)] = true;
-  }
+bool VisitReferencedRefs(const Expr& expr, const RefVisitor& visit) {
+  if (expr.kind == Expr::Kind::kColumnRef && !visit(expr.ref_id)) return false;
   for (const auto& child : expr.children) {
-    CollectReferencedRefs(*child, refs);
+    if (!VisitReferencedRefs(*child, visit)) return false;
   }
-  if (expr.subquery) CollectFromBlock(*expr.subquery, refs);
+  return !expr.subquery || VisitBlockRefs(*expr.subquery, visit);
+}
+
+void CollectReferencedRefs(const Expr& expr, std::vector<bool>* refs) {
+  VisitReferencedRefs(expr, [refs](int r) {
+    if (r >= 0 && static_cast<size_t>(r) < refs->size()) {
+      (*refs)[static_cast<size_t>(r)] = true;
+    }
+    return true;
+  });
 }
 
 bool ContainsAggregate(const Expr& expr) {
